@@ -761,10 +761,11 @@ fn main() {
     }
     hg.finalize();
     let bisect_config = BisectConfig::default().with_starts(8);
+    let free = vec![FixedSide::Free; hg.num_vertices()];
     let mut bisection = Vec::new();
     for &threads in thread_counts {
         let ms = tvp_parallel::with_threads(threads, || {
-            time_ms(opts.repeats, || bisect(&hg, &bisect_config))
+            time_ms(opts.repeats, || bisect(&hg, &free, &bisect_config, None))
         });
         bisection.push((threads, ms));
     }
@@ -832,7 +833,6 @@ fn main() {
     // Bisection sub-phases on the same kernel hypergraph, via the serial
     // profiled entry point (starts run back-to-back so phase clocks don't
     // overlap).
-    let free = vec![FixedSide::Free; hg.num_vertices()];
     let (_, bisect_profile) = bisect_fixed_profiled(&hg, &free, &bisect_config);
 
     // --- Scaling sweep: one fresh child process per cell count -----------

@@ -27,15 +27,16 @@
 //! bitwise identical at every thread count. With the thermal term or an
 //! armed thermal pricer the passes fall back to the exact serial loop.
 //!
-//! Swap-partner pricing — the measured cost center of phase A — runs
-//! through a pass-lifetime [`FrozenSharedCache`]: each partner's probe
-//! entries build once and survive across batches until a commit touches
-//! one of the partner's nets (DESIGN.md §17).
+//! Every probe — the cell's own candidates, its swap partners' reverse
+//! legs (the measured cost center of phase A), and the optimal-region
+//! rectangles — reads the objective's shared probe memo, so a hot-bin
+//! partner's entries build once and serve every batch until a commit
+//! touches one of its nets (DESIGN.md §11, §17).
 
 use super::mesh::DensityMesh;
-use crate::objective::{FrozenPricer, FrozenScratch, FrozenSharedCache, IncrementalObjective};
+use crate::objective::{FrozenPricer, IncrementalObjective};
 use crate::thermal_pricer::ThermalMovePricer;
-use crate::{Chip, Placement};
+use crate::Chip;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use tvp_netlist::{CellId, Netlist};
@@ -171,7 +172,8 @@ pub(crate) fn global_pass_priced(
     let mut opt = OptScratch::default();
     let mut candidates = Vec::new();
     for cell in order {
-        let Some((ox, oy)) = optimal_point(objective.placement(), netlist, cell, &mut opt) else {
+        let Some((ox, oy)) = optimal_point(&mut opt, |push| objective.exclusion_rects(cell, push))
+        else {
             continue;
         };
         let (ox, oy) = chip.clamp(ox, oy);
@@ -319,16 +321,6 @@ fn batched_pass(
     let mut improved = 0;
     let mut partners = PartnerIndex::build(mesh, netlist, order);
     let mut dirty_bins: Vec<usize> = Vec::new();
-    // Swap-partner probe entries, memoized across the whole pass:
-    // optimal regions cluster on the congested bins, so every batch
-    // prices the same hot-bin residents over and over, and the entry
-    // rebuild (net extremes + CSR + pin reads) is the measured cost
-    // center of the pass. Commits invalidate exactly the cells whose
-    // entries they may have changed (see `invalidate_moved`), so a hit
-    // is always bitwise identical to a fresh build against the current
-    // snapshot.
-    let mut partner_cache = FrozenSharedCache::new(netlist.num_cells());
-    let mut moved_cells: Vec<CellId> = Vec::new();
     for batch in order.chunks(BATCH) {
         // Phase A: parallel snapshot pricing. The snapshot, the mesh, and
         // the chunk boundaries are all independent of the thread count, so
@@ -341,10 +333,8 @@ fn batched_pass(
         };
         let mesh_ref: &DensityMesh = mesh;
         let partners_ref: &PartnerIndex = &partners;
-        let partner_cache_ref: &FrozenSharedCache = &partner_cache;
         let proposals: Vec<Vec<Proposal>> =
             parallel::map_chunks(batch.len(), PROPOSE_MIN_CHUNK, |range| {
-                let mut cell_scratch = FrozenScratch::default();
                 let mut opt = OptScratch::default();
                 let mut candidates = Vec::new();
                 let mut out = Vec::new();
@@ -352,12 +342,11 @@ fn batched_pass(
                     match mode {
                         PassMode::Local => local_candidates(mesh_ref, cell, &mut candidates),
                         PassMode::Global { region_bins } => {
-                            // The frozen variant feeds the medians from
-                            // the same probe entries `propose_best` is
-                            // about to price with — one build serves
-                            // both, and no net is ever rescanned.
+                            // The medians read the same probe entries
+                            // `propose_best` is about to price with — one
+                            // build serves both, and no net is rescanned.
                             let Some((ox, oy)) =
-                                optimal_point_frozen(&frozen, &mut cell_scratch, cell, &mut opt)
+                                optimal_point(&mut opt, |push| frozen.exclusion_rects(cell, push))
                             else {
                                 continue;
                             };
@@ -373,8 +362,6 @@ fn batched_pass(
                         chip,
                         cell,
                         &candidates,
-                        &mut cell_scratch,
-                        partner_cache_ref,
                     ) {
                         out.push(p);
                     }
@@ -386,7 +373,6 @@ fn batched_pass(
         // batch may have changed its value) and its target's headroom is
         // re-checked, so only genuinely improving, legal actions land.
         dirty_bins.clear();
-        moved_cells.clear();
         for p in proposals.iter().flat_map(|v| v.iter()) {
             match p.action {
                 ProposedAction::Move { bin, x, y, layer } => {
@@ -405,7 +391,6 @@ fn batched_pass(
                         mesh.relocate(netlist, p.cell, x, y, layer);
                         dirty_bins.push(old_bin);
                         dirty_bins.push(bin);
-                        moved_cells.push(p.cell);
                         improved += 1;
                     }
                 }
@@ -418,14 +403,11 @@ fn batched_pass(
                         mesh.relocate(netlist, with, pa.0, pa.1, pa.2);
                         dirty_bins.push(mesh.bin_of(p.cell));
                         dirty_bins.push(mesh.bin_of(with));
-                        moved_cells.push(p.cell);
-                        moved_cells.push(with);
                         improved += 1;
                     }
                 }
             }
         }
-        partner_cache.invalidate_moved(netlist, &moved_cells);
         dirty_bins.sort_unstable();
         dirty_bins.dedup();
         for &bin in &dirty_bins {
@@ -440,7 +422,6 @@ fn batched_pass(
 /// executing anything. Swaps are priced as two independent single-move
 /// deltas (exact unless the cells share a net — phase B's exact re-price
 /// settles those).
-#[allow(clippy::too_many_arguments)]
 fn propose_best(
     frozen: &FrozenPricer<'_>,
     mesh: &DensityMesh,
@@ -449,8 +430,6 @@ fn propose_best(
     chip: &Chip,
     cell: CellId,
     candidates: &[usize],
-    cell_scratch: &mut FrozenScratch,
-    partner_cache: &FrozenSharedCache,
 ) -> Option<Proposal> {
     let current_bin = mesh.bin_of(cell);
     let cell_area = netlist.cell(cell).area();
@@ -464,7 +443,7 @@ fn propose_best(
         if headroom >= 0.0 {
             let (bx, by, layer) = mesh.bin_center(b);
             let (bx, by) = chip.clamp(bx, by);
-            let delta = frozen.delta_move(cell_scratch, cell, bx, by, layer);
+            let delta = frozen.delta_move(cell, bx, by, layer);
             if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
                 best = Some((
                     delta,
@@ -481,8 +460,8 @@ fn propose_best(
         // above), so the index lookup needs no self-exclusion.
         if let Some(partner) = partners.nearest(b, cell_area) {
             let pb = frozen.placement().position(partner);
-            let mut delta = frozen.delta_move(cell_scratch, cell, pb.0, pb.1, pb.2);
-            delta += frozen.delta_move_memo(partner_cache, partner, pa.0, pa.1, pa.2);
+            let mut delta = frozen.delta_move(cell, pb.0, pb.1, pb.2);
+            delta += frozen.delta_move(partner, pa.0, pa.1, pa.2);
             if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
                 best = Some((delta, ProposedAction::Swap { with: partner }));
             }
@@ -511,69 +490,19 @@ struct OptScratch {
 
 /// The lateral objective-minimum point for a cell: the center of its
 /// optimal region (median interval of its nets' bounding boxes with the
-/// cell excluded). `None` for unconnected cells.
+/// cell excluded). `exclusion_rects` feeds those boxes — from
+/// [`IncrementalObjective::exclusion_rects`] or
+/// [`FrozenPricer::exclusion_rects`], which read the same probe memo.
+/// `None` for unconnected cells.
 fn optimal_point(
-    placement: &Placement,
-    netlist: &Netlist,
-    cell: CellId,
     s: &mut OptScratch,
+    exclusion_rects: impl FnOnce(&mut dyn FnMut(f64, f64, f64, f64)),
 ) -> Option<(f64, f64)> {
     s.xs_lo.clear();
     s.xs_hi.clear();
     s.ys_lo.clear();
     s.ys_hi.clear();
-    for &p in netlist.cell_pins(cell) {
-        let e = netlist.pin(p).net();
-        let mut x0 = f64::INFINITY;
-        let mut x1 = f64::NEG_INFINITY;
-        let mut y0 = f64::INFINITY;
-        let mut y1 = f64::NEG_INFINITY;
-        let mut others = 0;
-        for &q in netlist.net_pins(e) {
-            let other = netlist.pin(q).cell();
-            if other == cell {
-                continue;
-            }
-            others += 1;
-            let (x, y, _) = placement.position(other);
-            x0 = x0.min(x + netlist.pin(q).offset_x());
-            x1 = x1.max(x + netlist.pin(q).offset_x());
-            y0 = y0.min(y + netlist.pin(q).offset_y());
-            y1 = y1.max(y + netlist.pin(q).offset_y());
-        }
-        if others > 0 {
-            s.xs_lo.push(x0);
-            s.xs_hi.push(x1);
-            s.ys_lo.push(y0);
-            s.ys_hi.push(y1);
-        }
-    }
-    if s.xs_lo.is_empty() {
-        return None;
-    }
-    Some((
-        (median(&mut s.xs_lo) + median(&mut s.xs_hi)) / 2.0,
-        (median(&mut s.ys_lo) + median(&mut s.ys_hi)) / 2.0,
-    ))
-}
-
-/// [`optimal_point`] against a [`FrozenPricer`] snapshot: the per-net
-/// exclusion rectangles come from the snapshot's probe entries instead
-/// of a fresh scan of every incident net. The rectangle values (and so
-/// the medians) are bitwise identical — see
-/// [`FrozenPricer::exclusion_rects`] — and the entries stay in
-/// `scratch` for the candidate pricing that follows.
-fn optimal_point_frozen(
-    frozen: &FrozenPricer<'_>,
-    scratch: &mut FrozenScratch,
-    cell: CellId,
-    s: &mut OptScratch,
-) -> Option<(f64, f64)> {
-    s.xs_lo.clear();
-    s.xs_hi.clear();
-    s.ys_lo.clear();
-    s.ys_hi.clear();
-    frozen.exclusion_rects(scratch, cell, |x0, x1, y0, y1| {
+    exclusion_rects(&mut |x0, x1, y0, y1| {
         s.xs_lo.push(x0);
         s.xs_hi.push(x1);
         s.ys_lo.push(y0);
@@ -794,8 +723,10 @@ mod tests {
             .find(|&c| netlist.cell_nets(c).next().is_some())
             .unwrap();
         let mut scratch = OptScratch::default();
-        let (ox, oy) =
-            optimal_point(objective.placement(), &netlist, connected, &mut scratch).unwrap();
+        let (ox, oy) = optimal_point(&mut scratch, |push| {
+            objective.exclusion_rects(connected, push)
+        })
+        .unwrap();
         assert!(ox >= 0.0 && ox <= chip.width);
         assert!(oy >= 0.0 && oy <= chip.depth);
         // Moving the cell to its optimal point must not hurt the lateral
@@ -817,12 +748,9 @@ mod tests {
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let objective = IncrementalObjective::new(&netlist, &model, Placement::centered(2, &chip));
         let mut scratch = OptScratch::default();
-        assert!(optimal_point(
-            objective.placement(),
-            &netlist,
-            CellId::new(0),
-            &mut scratch
-        )
+        assert!(optimal_point(&mut scratch, |push| {
+            objective.exclusion_rects(CellId::new(0), push)
+        })
         .is_none());
     }
 }

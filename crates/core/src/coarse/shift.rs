@@ -32,7 +32,7 @@
 //! row loop.
 
 use super::mesh::DensityMesh;
-use crate::objective::{CellMove, FrozenPricer, FrozenScratch, IncrementalObjective};
+use crate::objective::{CellMove, FrozenPricer, IncrementalObjective};
 use crate::{Chip, ShiftStrategy};
 use std::ops::ControlFlow;
 use tvp_netlist::Netlist;
@@ -213,7 +213,6 @@ fn sweep(
     let plans: Option<Vec<ChunkPlan>> = objective.frozen_pricer().map(|frozen| {
         parallel::map_chunks(num_rows, PLAN_MIN_ROWS, |range| {
             let mut scratch = RowScratch::default();
-            let mut fscratch = FrozenScratch::default();
             let mut plan = ChunkPlan::default();
             for r in range {
                 let k = r / rows_per_layer;
@@ -227,7 +226,6 @@ fn sweep(
                 }
                 let delta = plan_row(
                     &frozen,
-                    &mut fscratch,
                     mesh_ref,
                     chip,
                     &mut scratch,
@@ -526,7 +524,6 @@ fn remap_cell(
 #[allow(clippy::too_many_arguments)]
 fn plan_row(
     frozen: &FrozenPricer<'_>,
-    fscratch: &mut FrozenScratch,
     mesh: &DensityMesh,
     chip: &Chip,
     scratch: &mut RowScratch,
@@ -555,7 +552,7 @@ fn plan_row(
             let (x, y, layer) = frozen.placement().position(cell);
             let Some((tx, ty)) =
                 remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), |cx, cy| {
-                    frozen.delta_move(fscratch, cell, cx, cy, layer)
+                    frozen.delta_move(cell, cx, cy, layer)
                 })
             else {
                 continue;

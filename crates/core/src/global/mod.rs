@@ -30,7 +30,7 @@ use crate::{Chip, Placement, PlacerConfig};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use tvp_netlist::{CellId, NetId, Netlist};
 use tvp_parallel as parallel;
-use tvp_partition::{bisect_fixed_checked_with_stop, BisectConfig, FixedSide, Hypergraph, StopFn};
+use tvp_partition::{bisect, BisectConfig, FixedSide, Hypergraph, StopFn};
 
 /// How often a bisection may be retried with a relaxed tolerance before
 /// its best-effort (out-of-tolerance) assignment is accepted.
@@ -541,7 +541,7 @@ impl<'a> Splitter<'a> {
                 attempt_config = attempt_config.relaxed();
                 continue;
             }
-            match bisect_fixed_checked_with_stop(&hg, &fixed, &attempt_config, self.stop) {
+            match bisect(&hg, &fixed, &attempt_config, self.stop).check_balance(&attempt_config) {
                 Ok(bisection) => break bisection,
                 Err(err) => {
                     let miss = (err.fraction - err.target_fraction).abs();

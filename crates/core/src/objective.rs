@@ -21,13 +21,24 @@
 //! an extreme retreats inward, which is amortized away over random move
 //! sequences.
 //!
-//! Pricing (`delta_move`, `delta_moves`, `delta_swap`) is read-only and
-//! allocation-free: candidate geometry, power, and resistance values are
+//! Pricing (`delta_move`, `delta_moves`, `delta_swap`) never touches the
+//! committed caches: candidate geometry, power, and resistance values are
 //! staged in a reusable epoch-stamped `DeltaWorkspace` owned by the
-//! evaluator, never touching the committed caches. Commit (`apply_move`,
-//! `apply_moves`, `apply_swap`) prices through the same code path and then
-//! patches the staged values into the caches, so a probe and its commit
-//! return bitwise-identical deltas.
+//! evaluator. Commit (`apply_move`, `apply_moves`, `apply_swap`) prices
+//! through the same code path and then patches the staged values into the
+//! caches, so a probe and its commit return bitwise-identical deltas.
+//!
+//! # Probe memo
+//!
+//! WL+ILV single-cell pricing and the coarse optimal-region rectangles
+//! both read one *probe entry* per (cell, distinct net): the net's
+//! extremes with the cell's own pins excluded, plus the committed
+//! geometry. The evaluator owns one lazily built memo of these entries,
+//! shared read-only (it is `Sync`) by every [`FrozenPricer`] worker. Each
+//! entry is a pure function of the committed state of its net, so the
+//! memo's only invalidation rule is exact: a commit that moves a cell
+//! drops the entries of every net that cell touches, and `rebuild` drops
+//! them all. Nothing outside this module creates or drops entries.
 //!
 //! Cells connecting to one net through several pins are handled by a
 //! per-cell *distinct-net* CSR shared by pricing and commit: each incident
@@ -43,6 +54,8 @@
 use crate::power::PowerModel;
 use crate::{Chip, Placement, PlacerConfig};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use tvp_netlist::{CellId, NetId, Netlist, PinId};
 use tvp_parallel as parallel;
 use tvp_thermal::ResistanceModel;
@@ -359,6 +372,9 @@ struct DistinctNets {
     entries: Vec<(NetId, u32, u32)>,
     /// Pin IDs grouped by (cell, net).
     pins: Vec<PinId>,
+    /// For each pin, the index of its (cell, net) entry — how a commit
+    /// finds the probe-memo slots of a net's pin cells.
+    pin_entry: Vec<u32>,
 }
 
 impl DistinctNets {
@@ -366,6 +382,7 @@ impl DistinctNets {
         let mut offsets = Vec::with_capacity(netlist.num_cells() + 1);
         let mut entries = Vec::with_capacity(netlist.num_pins());
         let mut pins = Vec::with_capacity(netlist.num_pins());
+        let mut pin_entry = vec![0u32; netlist.num_pins()];
         let mut buf: Vec<(NetId, PinId)> = Vec::new();
         offsets.push(0u32);
         for c in 0..netlist.num_cells() {
@@ -382,6 +399,7 @@ impl DistinctNets {
                 for &(e2, p2) in &buf[i..] {
                     if e2 == e {
                         pins.push(p2);
+                        pin_entry[p2.index()] = entries.len() as u32;
                     }
                 }
                 entries.push((e, lo, pins.len() as u32));
@@ -392,6 +410,7 @@ impl DistinctNets {
             offsets,
             entries,
             pins,
+            pin_entry,
         }
     }
 
@@ -401,7 +420,7 @@ impl DistinctNets {
     }
 }
 
-/// Per-(cell, net) probe-cache entry: the net's extremes *excluding* the
+/// Per-(cell, net) probe-memo entry: the net's extremes *excluding* the
 /// cell's own pins, plus the committed geometry. A candidate position
 /// folds in with six branchless min/max ops — no rescan can ever be
 /// needed, because the moved pins are not part of the reduced extremes.
@@ -449,8 +468,7 @@ impl Default for ProbeEntry {
 
 /// Builds the probe entry for distinct-net CSR slot `idx` of `cell`: the
 /// net's extremes with the cell's own pins excluded, plus the committed
-/// geometry. Shared by the probe cache and [`FrozenPricer`] so both
-/// price bitwise identically.
+/// geometry — the one constructor of probe-memo entries.
 fn probe_entry_at(
     netlist: &Netlist,
     placement: &Placement,
@@ -568,13 +586,85 @@ fn probe_entry_delta(
     (new_wl - entry.old_wl) + alpha_ilv * (new_ilv - entry.old_ilv)
 }
 
-/// Read-only pricing snapshot over the committed caches, for
-/// data-parallel proposal generation (DESIGN.md §16). It is `Sync` —
-/// unlike [`IncrementalObjective`], whose interior-mutable staging
-/// workspace pins it to one thread — because it borrows only the
-/// immutable caches. Only available in WL+ILV mode (`alpha_temp == 0`):
-/// the thermal term needs staged power bookkeeping a snapshot cannot
-/// provide.
+/// The probe memo (module docs): one lazily built [`ProbeEntry`] slot per
+/// distinct-net CSR entry. Slots fill through `&self` — so the memo is
+/// `Sync` and parallel workers share it — and empty only through
+/// `&mut self`, which only [`IncrementalObjective`]'s commit paths hold.
+#[derive(Debug, Default)]
+struct ProbeMemo {
+    slots: Vec<OnceLock<ProbeEntry>>,
+    /// Per net: set when one of its slots fills, cleared when they are
+    /// dropped. A commit skips the pin walk of every net nobody probed
+    /// since its last invalidation — most nets in thermal mode, where
+    /// only the global pass's optimal regions read the memo. `Relaxed`
+    /// suffices: the flag publishes no data, and it is read only through
+    /// `&mut self`, after every worker that could have set it was joined.
+    net_filled: Vec<AtomicBool>,
+}
+
+impl Clone for ProbeMemo {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            net_filled: self
+                .net_filled
+                .iter()
+                .map(|f| AtomicBool::new(f.load(Ordering::Relaxed)))
+                .collect(),
+        }
+    }
+}
+
+impl ProbeMemo {
+    fn empty(entries: usize, nets: usize) -> Self {
+        Self {
+            slots: (0..entries).map(|_| OnceLock::new()).collect(),
+            net_filled: (0..nets).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// Slot `idx` (an entry on net `e`), built by `build` on first use.
+    #[inline]
+    fn get_or_build(
+        &self,
+        idx: usize,
+        e: NetId,
+        build: impl FnOnce() -> ProbeEntry,
+    ) -> &ProbeEntry {
+        self.slots[idx].get_or_init(|| {
+            self.net_filled[e.index()].store(true, Ordering::Relaxed);
+            build()
+        })
+    }
+
+    /// Drops every slot on net `e` — the entry of each of its pin cells.
+    fn invalidate_net(&mut self, netlist: &Netlist, cell_nets: &DistinctNets, e: NetId) {
+        if std::mem::take(self.net_filled[e.index()].get_mut()) {
+            for &p in netlist.net_pins(e) {
+                self.slots[cell_nets.pin_entry[p.index()] as usize].take();
+            }
+        }
+    }
+
+    /// Drops every slot.
+    fn clear(&mut self) {
+        for slot in &mut self.slots {
+            slot.take();
+        }
+        for filled in &mut self.net_filled {
+            *filled.get_mut() = false;
+        }
+    }
+}
+
+/// Read-only pricing view over the committed caches and the evaluator's
+/// probe memo, for data-parallel proposal generation (DESIGN.md §11,
+/// §16). It is `Sync` — unlike [`IncrementalObjective`], whose
+/// interior-mutable staging workspace pins it to one thread — so every
+/// worker of a parallel phase prices through the same view, and a probe
+/// entry built by one worker serves all of them. Only available in
+/// WL+ILV mode (`alpha_temp == 0`): the thermal term needs staged power
+/// bookkeeping a read-only view cannot provide.
 ///
 /// Deltas are priced against the state at snapshot time. Callers that
 /// interleave commits must re-validate each proposal against the live
@@ -585,66 +675,8 @@ pub struct FrozenPricer<'b> {
     placement: &'b Placement,
     nets: &'b [NetExtremes],
     cell_nets: &'b DistinctNets,
+    probes: &'b ProbeMemo,
     alpha_ilv: f64,
-}
-
-/// Per-worker scratch for [`FrozenPricer`]: the probe entries of the one
-/// cell currently being priced. Caller-owned so each worker thread
-/// prices without shared mutable state. Entries are only valid against
-/// the snapshot that built them — drop the scratch when taking a new
-/// [`FrozenPricer`].
-#[derive(Default)]
-pub struct FrozenScratch {
-    cell: Option<CellId>,
-    entries: Vec<ProbeEntry>,
-}
-
-/// Cross-worker probe-entry memo for one [`FrozenPricer`] snapshot:
-/// each cell's entries build once — by whichever worker probes the cell
-/// first — and are shared read-only afterwards. Built for the coarse
-/// passes' swap-partner pricing, where the candidate regions of a whole
-/// batch of cells revisit the same hot-bin residents and rebuilding a
-/// partner's entries is all cache-miss traffic (net extremes, CSR
-/// spans, pin arrays).
-///
-/// Thread-invariance: entry values are a pure function of the snapshot,
-/// so racing builders initialize identical values and every priced
-/// delta is bitwise equal to [`FrozenScratch`] pricing, at any thread
-/// count.
-///
-/// Entries are only valid against the snapshot that built them — take a
-/// fresh cache with every new [`FrozenPricer`].
-pub struct FrozenSharedCache {
-    slots: Vec<std::sync::OnceLock<Box<[ProbeEntry]>>>,
-}
-
-impl FrozenSharedCache {
-    /// An empty cache for a design of `num_cells` cells.
-    pub fn new(num_cells: usize) -> Self {
-        Self {
-            slots: (0..num_cells).map(|_| std::sync::OnceLock::new()).collect(),
-        }
-    }
-
-    /// Drops the memoized entries of every cell whose pricing inputs a
-    /// committed move may have changed: the moved cells themselves and
-    /// every cell sharing a net with one. Everything else's entries
-    /// stay valid against the *next* snapshot too — a net's extremes
-    /// (and the positions a probe build reads) only change when one of
-    /// that net's pin cells moves — which is what lets one cache
-    /// persist across an entire batched pass instead of being rebuilt
-    /// per snapshot.
-    pub fn invalidate_moved(&mut self, netlist: &Netlist, moved: &[CellId]) {
-        for &m in moved {
-            for &p in netlist.cell_pins(m) {
-                let e = netlist.pin(p).net();
-                for &q in netlist.net_pins(e) {
-                    self.slots[netlist.pin(q).cell().index()] = std::sync::OnceLock::new();
-                }
-            }
-            self.slots[m.index()] = std::sync::OnceLock::new();
-        }
-    }
 }
 
 impl FrozenPricer<'_> {
@@ -654,28 +686,38 @@ impl FrozenPricer<'_> {
         self.placement
     }
 
+    /// The memoized probe entry of distinct-net CSR slot `idx` of `cell`,
+    /// built on first use. Racing builders compute the same pure function
+    /// of the committed state, so whichever wins, every reader sees
+    /// bitwise-identical values at any thread count.
+    #[inline]
+    fn entry(&self, idx: usize, cell: CellId) -> &ProbeEntry {
+        self.probes
+            .get_or_build(idx, self.cell_nets.entries[idx].0, || {
+                probe_entry_at(
+                    self.netlist,
+                    self.placement,
+                    self.nets,
+                    self.cell_nets,
+                    idx,
+                    cell,
+                )
+            })
+    }
+
     /// Objective change if `cell` moved to `(x, y, layer)`, priced
-    /// against the snapshot. Bitwise equal to what
-    /// [`IncrementalObjective::delta_move`] returned at snapshot time —
-    /// both fold the same probe entries in the same CSR order. Repeated
-    /// probes of one cell reuse its entries; a new cell rebuilds the
-    /// scratch once.
-    pub fn delta_move(
-        &self,
-        scratch: &mut FrozenScratch,
-        cell: CellId,
-        x: f64,
-        y: f64,
-        layer: u16,
-    ) -> f64 {
-        self.ensure_entries(scratch, cell);
+    /// against the snapshot: one fold of the cell's memoized probe
+    /// entries in CSR order — the same fold the live
+    /// [`IncrementalObjective::delta_move`] runs in WL+ILV mode, so the
+    /// two agree bitwise.
+    pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
         let mut delta = 0.0;
-        for (entry, idx) in scratch.entries.iter().zip(self.cell_nets.range(cell)) {
+        for idx in self.cell_nets.range(cell) {
             delta += probe_entry_delta(
                 self.netlist,
                 self.cell_nets,
                 idx,
-                entry,
+                self.entry(idx, cell),
                 (x, y, layer),
                 self.alpha_ilv,
             );
@@ -686,18 +728,13 @@ impl FrozenPricer<'_> {
     /// Calls `push` with one `(x0, x1, y0, y1)` exclusion rectangle per
     /// own pin of `cell` whose net has at least one pin on another cell —
     /// the inputs of the coarse global pass's optimal-region medians.
-    /// Reuses the very probe entries [`delta_move`](Self::delta_move)
-    /// prices with (building them on miss), so each rectangle is bitwise
-    /// identical to a fresh exclude-the-cell scan of the net, at
-    /// O(own pins) in the common case instead of O(net degree).
-    pub fn exclusion_rects(
-        &self,
-        scratch: &mut FrozenScratch,
-        cell: CellId,
-        mut push: impl FnMut(f64, f64, f64, f64),
-    ) {
-        self.ensure_entries(scratch, cell);
-        for entry in &scratch.entries {
+    /// Read from the very probe entries [`delta_move`](Self::delta_move)
+    /// prices with, so each rectangle is bitwise identical to a fresh
+    /// exclude-the-cell scan of the net, at O(own pins) in the common
+    /// case instead of O(net degree).
+    pub fn exclusion_rects(&self, cell: CellId, mut push: impl FnMut(f64, f64, f64, f64)) {
+        for idx in self.cell_nets.range(cell) {
+            let entry = self.entry(idx, cell);
             // A finite min marks a non-empty exclusion (positions are
             // always finite); nets the cell fully owns are skipped, like
             // the historical scan's `others > 0` test. Multi-pin nets
@@ -708,69 +745,6 @@ impl FrozenPricer<'_> {
                     push(entry.rx0, entry.rx1, entry.ry0, entry.ry1);
                 }
             }
-        }
-    }
-
-    /// [`delta_move`](Self::delta_move) through a [`FrozenSharedCache`]:
-    /// the first probe of a cell — on any worker — builds its entries
-    /// into the cache's slot; every later probe of the same cell, at
-    /// any position, reuses them. Bitwise identical to the
-    /// scratch-based path (the same entries fold in the same CSR
-    /// order).
-    pub fn delta_move_memo(
-        &self,
-        cache: &FrozenSharedCache,
-        cell: CellId,
-        x: f64,
-        y: f64,
-        layer: u16,
-    ) -> f64 {
-        let entries = cache.slots[cell.index()].get_or_init(|| {
-            self.cell_nets
-                .range(cell)
-                .map(|idx| {
-                    probe_entry_at(
-                        self.netlist,
-                        self.placement,
-                        self.nets,
-                        self.cell_nets,
-                        idx,
-                        cell,
-                    )
-                })
-                .collect()
-        });
-        let mut delta = 0.0;
-        for (entry, idx) in entries.iter().zip(self.cell_nets.range(cell)) {
-            delta += probe_entry_delta(
-                self.netlist,
-                self.cell_nets,
-                idx,
-                entry,
-                (x, y, layer),
-                self.alpha_ilv,
-            );
-        }
-        delta
-    }
-
-    /// Builds (or reuses) the scratch's probe entries for `cell`.
-    fn ensure_entries(&self, scratch: &mut FrozenScratch, cell: CellId) {
-        if scratch.cell != Some(cell) {
-            scratch.entries.clear();
-            scratch
-                .entries
-                .extend(self.cell_nets.range(cell).map(|idx| {
-                    probe_entry_at(
-                        self.netlist,
-                        self.placement,
-                        self.nets,
-                        self.cell_nets,
-                        idx,
-                        cell,
-                    )
-                }));
-            scratch.cell = Some(cell);
         }
     }
 }
@@ -799,16 +773,10 @@ struct DeltaWorkspace {
     deltas: Vec<f64>,
     /// Scratch: drivers touched by the move being priced (deduplicated).
     drivers: Vec<CellId>,
-    /// Probe cache: one [`ProbeEntry`] per distinct-net CSR entry, valid
-    /// for cell `c` while `cell_probe_version[c] == probe_version`.
-    /// Commits bump `probe_version`, invalidating everything at once.
-    probe_version: u64,
-    cell_probe_version: Vec<u64>,
-    probe_entries: Vec<ProbeEntry>,
 }
 
 impl DeltaWorkspace {
-    fn sized(nets: usize, cells: usize, csr_entries: usize) -> Self {
+    fn sized(nets: usize, cells: usize) -> Self {
         Self {
             epoch: 0,
             net_stamp: vec![0; nets],
@@ -817,20 +785,8 @@ impl DeltaWorkspace {
             power_val: vec![0.0; cells],
             res_stamp: vec![0; cells],
             res_val: vec![0.0; cells],
-            probe_version: 1,
-            cell_probe_version: vec![0; cells],
-            probe_entries: vec![ProbeEntry::default(); csr_entries],
             ..Self::default()
         }
-    }
-
-    /// Invalidates every cell's probe cache (the placement changed).
-    fn invalidate_probes(&mut self) {
-        if self.probe_version == u64::MAX {
-            self.cell_probe_version.fill(0);
-            self.probe_version = 0;
-        }
-        self.probe_version += 1;
     }
 
     /// Starts a fresh pricing sequence (invalidates all staged state).
@@ -878,7 +834,7 @@ pub struct CellMove {
 
 /// Objective evaluator maintaining per-net extreme caches, per-cell power
 /// and resistance caches, and the scalar total. Probes price in O(1)
-/// amortized per incident net, without mutating or allocating.
+/// amortized per incident net and never touch the committed caches.
 #[derive(Clone, Debug)]
 pub struct IncrementalObjective<'a> {
     netlist: &'a Netlist,
@@ -889,6 +845,7 @@ pub struct IncrementalObjective<'a> {
     cell_resistance: Vec<f64>,
     total: f64,
     cell_nets: DistinctNets,
+    probes: ProbeMemo,
     pricing: RefCell<DeltaWorkspace>,
 }
 
@@ -896,11 +853,6 @@ impl<'a> IncrementalObjective<'a> {
     /// Builds the evaluator for a placement.
     pub fn new(netlist: &'a Netlist, model: &'a ObjectiveModel, placement: Placement) -> Self {
         let cell_nets = DistinctNets::build(netlist);
-        let workspace = DeltaWorkspace::sized(
-            netlist.num_nets(),
-            netlist.num_cells(),
-            cell_nets.entries.len(),
-        );
         let mut this = Self {
             netlist,
             model,
@@ -909,8 +861,12 @@ impl<'a> IncrementalObjective<'a> {
             cell_power: vec![0.0; netlist.num_cells()],
             cell_resistance: vec![0.0; netlist.num_cells()],
             total: 0.0,
+            probes: ProbeMemo::empty(cell_nets.entries.len(), netlist.num_nets()),
             cell_nets,
-            pricing: RefCell::new(workspace),
+            pricing: RefCell::new(DeltaWorkspace::sized(
+                netlist.num_nets(),
+                netlist.num_cells(),
+            )),
         };
         this.rebuild();
         this
@@ -969,7 +925,7 @@ impl<'a> IncrementalObjective<'a> {
         self.cell_resistance = cell_resistance;
 
         self.total = self.compute_total();
-        self.pricing.get_mut().invalidate_probes();
+        self.probes.clear();
     }
 
     /// The objective from the current caches. One thread: the historical
@@ -1244,81 +1200,58 @@ impl<'a> IncrementalObjective<'a> {
         }
     }
 
-    /// (Re)builds the probe cache for `cell`: each incident net's
-    /// extremes with the cell's own pins scanned out, plus the committed
-    /// geometry. O(sum of incident net degrees) — amortized away when a
-    /// cell is probed with several candidates between commits, which is
-    /// exactly how the coarse and detail loops price.
-    fn build_probe_cache(&self, ws: &mut DeltaWorkspace, cell: CellId) {
-        for idx in self.cell_nets.range(cell) {
-            ws.probe_entries[idx] = probe_entry_at(
-                self.netlist,
-                &self.placement,
-                &self.nets,
-                &self.cell_nets,
-                idx,
-                cell,
-            );
-        }
-        ws.cell_probe_version[cell.index()] = ws.probe_version;
-    }
-
-    /// Fast probe against the cached exclusion extremes: per incident net
-    /// six branchless min/max folds, never a rescan. Bitwise equal to the
-    /// staged pricing path — both subtract the same committed geometry
-    /// from extremes of the same pin multiset, in the same CSR order.
-    fn probe_cached(&self, ws: &DeltaWorkspace, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        let alpha_ilv = self.model.alpha_ilv;
-        let mut delta = 0.0;
-        for idx in self.cell_nets.range(cell) {
-            delta += probe_entry_delta(
-                self.netlist,
-                &self.cell_nets,
-                idx,
-                &ws.probe_entries[idx],
-                pos,
-                alpha_ilv,
-            );
-        }
-        delta
-    }
-
-    /// True when the probe fast path prices exactly like the staged path:
+    /// True when the probe memo prices exactly like the staged path:
     /// WL-only mode (the thermal term needs staged power bookkeeping).
     #[inline]
     fn fast_probes(&self) -> bool {
         self.model.alpha_temp == 0.0
     }
 
-    /// A [`FrozenPricer`] snapshot of the committed state, or `None`
-    /// when the thermal term is active (pricing then needs staged power
-    /// bookkeeping a read-only snapshot cannot provide).
-    pub fn frozen_pricer(&self) -> Option<FrozenPricer<'_>> {
-        self.fast_probes().then(|| FrozenPricer {
+    /// The probe-memo view of the committed state, in any objective mode.
+    fn memo(&self) -> FrozenPricer<'_> {
+        FrozenPricer {
             netlist: self.netlist,
             placement: &self.placement,
             nets: &self.nets,
             cell_nets: &self.cell_nets,
+            probes: &self.probes,
             alpha_ilv: self.model.alpha_ilv,
-        })
+        }
     }
 
-    /// Fast-path single-move probe; builds the cell's cache on miss.
-    fn delta_move_cached(&self, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        let mut ws = self.pricing.borrow_mut();
-        let ws = &mut *ws;
-        if ws.cell_probe_version[cell.index()] != ws.probe_version {
-            self.build_probe_cache(ws, cell);
+    /// Drops the memoized probe entries a move of `cell` made stale:
+    /// every (pin cell, net) entry of every net the cell touches. Each
+    /// entry caches one net's extremes and committed geometry, which only
+    /// change when one of that net's pins moves, so entries on every
+    /// other net stay valid.
+    fn drop_stale_probes(&mut self, cell: CellId) {
+        for idx in self.cell_nets.range(cell) {
+            let (e, _, _) = self.cell_nets.entries[idx];
+            self.probes.invalidate_net(self.netlist, &self.cell_nets, e);
         }
-        self.probe_cached(ws, cell, pos)
+    }
+
+    /// A [`FrozenPricer`] view of the committed state, or `None` when the
+    /// thermal term is active (pricing then needs staged power
+    /// bookkeeping a read-only view cannot provide).
+    pub fn frozen_pricer(&self) -> Option<FrozenPricer<'_>> {
+        self.fast_probes().then(|| self.memo())
+    }
+
+    /// Calls `push` with the optimal-region exclusion rectangles of
+    /// `cell` — see [`FrozenPricer::exclusion_rects`]. Available in every
+    /// objective mode: the rectangles are pure WL geometry.
+    pub fn exclusion_rects(&self, cell: CellId, push: impl FnMut(f64, f64, f64, f64)) {
+        self.memo().exclusion_rects(cell, push);
     }
 
     /// Objective change if `cell` moved to `(x, y, layer)`, without
-    /// committing. Read-only and allocation-free. Negative is an
-    /// improvement.
+    /// committing. Negative is an improvement. In WL+ILV mode this is the
+    /// probe-memo fold of [`FrozenPricer::delta_move`]; with the thermal
+    /// term it stages the move in the allocation-free workspace.
     pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        if self.fast_probes() {
-            return self.delta_move_cached(cell, (x, y, layer));
+        if let Some(frozen) = self.frozen_pricer() {
+            return frozen.delta_move(cell, x, y, layer);
         }
         let mut ws = self.pricing.borrow_mut();
         let ws = &mut *ws;
@@ -1331,14 +1264,14 @@ impl<'a> IncrementalObjective<'a> {
     /// folding the per-move deltas left to right, exactly as
     /// [`apply_moves`](Self::apply_moves) would add them to `total`.
     pub fn delta_moves(&self, moves: &[CellMove]) -> f64 {
-        match moves {
-            [m] if self.fast_probes() => self.delta_move_cached(m.cell, (m.x, m.y, m.layer)),
-            [a, b] if self.fast_probes() && self.nets_disjoint(a.cell, b.cell) => {
+        match (self.frozen_pricer(), moves) {
+            (Some(frozen), [m]) => frozen.delta_move(m.cell, m.x, m.y, m.layer),
+            (Some(frozen), [a, b]) if self.nets_disjoint(a.cell, b.cell) => {
                 // Disjoint cells price independently: the staged path
                 // would see no cross-talk between the two legs, so two
-                // cached probes summed in order are bitwise identical.
-                let mut sum = self.delta_move_cached(a.cell, (a.x, a.y, a.layer));
-                sum += self.delta_move_cached(b.cell, (b.x, b.y, b.layer));
+                // memo probes summed in order are bitwise identical.
+                let mut sum = frozen.delta_move(a.cell, a.x, a.y, a.layer);
+                sum += frozen.delta_move(b.cell, b.x, b.y, b.layer);
                 sum
             }
             _ => {
@@ -1406,7 +1339,7 @@ impl<'a> IncrementalObjective<'a> {
         // same per-net update-or-rescan and the same delta arithmetic as
         // the staged path, minus the staging round trip. A commit is the
         // staged path's one-move sequence, so the returned delta is
-        // bitwise identical (and equals the cached probe's).
+        // bitwise identical (and equals the memo probe's).
         let pos = (x, y, layer);
         let old_pos = self.placement.position(cell);
         let alpha_ilv = self.model.alpha_ilv;
@@ -1437,7 +1370,7 @@ impl<'a> IncrementalObjective<'a> {
         }
         self.placement.set(cell, x, y, layer);
         self.total += delta;
-        self.pricing.get_mut().invalidate_probes();
+        self.drop_stale_probes(cell);
         delta
     }
 
@@ -1452,7 +1385,9 @@ impl<'a> IncrementalObjective<'a> {
             sum += self.price_move(&mut ws, m.cell, (m.x, m.y, m.layer));
         }
         self.commit(&ws);
-        ws.invalidate_probes();
+        for &(cell, _) in &ws.moves {
+            self.drop_stale_probes(cell);
+        }
         *self.pricing.get_mut() = ws;
         sum
     }
@@ -1574,6 +1509,7 @@ impl<'a> IncrementalObjective<'a> {
             cell_resistance: vec![0.0; self.netlist.num_cells()],
             total: 0.0,
             cell_nets: DistinctNets::default(),
+            probes: ProbeMemo::default(),
             pricing: RefCell::new(DeltaWorkspace::default()),
         };
         clone.rebuild();
@@ -1734,9 +1670,9 @@ mod tests {
 
     #[test]
     fn cached_probe_matches_staged_commit_wl_only() {
-        // WL-only probes go through the exclusion-cache fast path while
-        // commits price through the staged path; the two must agree
-        // bitwise, for moves and for swaps (disjoint and net-sharing).
+        // WL-only probes go through the probe memo while commits price
+        // through the staged path; the two must agree bitwise, for moves
+        // and for swaps (disjoint and net-sharing).
         let (netlist, chip, config) = fixture(0.0);
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let placement = random_spread(&netlist, &chip, 11);

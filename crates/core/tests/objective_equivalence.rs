@@ -7,6 +7,9 @@
 //! *bitwise* equal to what a from-scratch `rebuild()` of the same
 //! placement produces, at every thread count. Pricing is read-only, and
 //! a probe's delta is bitwise equal to the delta its commit applies.
+//! The probe memo never serves a stale entry: after every commit, the
+//! moved cells and their net neighbours price exactly like they do on a
+//! freshly built evaluator of the same placement.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -21,8 +24,95 @@ fn random_design(cells: usize, seed: u64) -> Netlist {
         .expect("synthetic design generates")
 }
 
-/// Drives `ops` random moves/swaps (roughly 1 swap per 3 ops) and
-/// returns the final objective, placement untouched otherwise.
+/// Everything the probe memo answers for one cell and candidate
+/// position, as raw bits: the live `delta_move`, the `frozen_pricer()`
+/// delta (WL+ILV mode only), and the optimal-region exclusion
+/// rectangles.
+type ProbeBits = (u64, Option<u64>, Vec<[u64; 4]>);
+
+fn probe_bits(
+    obj: &IncrementalObjective<'_>,
+    cell: CellId,
+    (x, y, l): (f64, f64, u16),
+) -> ProbeBits {
+    let live = obj.delta_move(cell, x, y, l).to_bits();
+    let frozen = obj
+        .frozen_pricer()
+        .map(|f| f.delta_move(cell, x, y, l).to_bits());
+    let mut rects = Vec::new();
+    obj.exclusion_rects(cell, |x0, x1, y0, y1| {
+        rects.push([x0.to_bits(), x1.to_bits(), y0.to_bits(), y1.to_bits()]);
+    });
+    (live, frozen, rects)
+}
+
+/// The optimal-region rectangles of `cell` by direct scan, as sorted
+/// bits: per own pin, the bounding box of its net's pins on other cells
+/// (nets the cell fully owns contribute nothing) — the independent
+/// oracle for `exclusion_rects`.
+fn scanned_rects(netlist: &Netlist, placement: &Placement, cell: CellId) -> Vec<[u64; 4]> {
+    let mut rects = Vec::new();
+    for &p in netlist.cell_pins(cell) {
+        let e = netlist.pin(p).net();
+        let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &q in netlist.net_pins(e) {
+            let pin = netlist.pin(q);
+            if pin.cell() == cell {
+                continue;
+            }
+            let (x, y, _) = placement.position(pin.cell());
+            x0 = x0.min(x + pin.offset_x());
+            x1 = x1.max(x + pin.offset_x());
+            y0 = y0.min(y + pin.offset_y());
+            y1 = y1.max(y + pin.offset_y());
+        }
+        if x0 != f64::INFINITY {
+            rects.push([x0.to_bits(), x1.to_bits(), y0.to_bits(), y1.to_bits()]);
+        }
+    }
+    rects.sort_unstable();
+    rects
+}
+
+/// The cells whose probe entries committing a move of `moved` can make
+/// stale — the moved cells and their net neighbours (capped) — plus one
+/// unrelated cell, each paired with a random candidate position.
+fn watch_list(
+    netlist: &Netlist,
+    chip: &Chip,
+    moved: &[CellId],
+    rng: &mut SmallRng,
+) -> Vec<(CellId, (f64, f64, u16))> {
+    let mut cells: Vec<CellId> = moved.to_vec();
+    for &m in moved {
+        for e in netlist.cell_nets(m) {
+            for &p in netlist.net_pins(e) {
+                let c = netlist.pin(p).cell();
+                if cells.len() < 8 && !cells.contains(&c) {
+                    cells.push(c);
+                }
+            }
+        }
+    }
+    cells.push(CellId::new(rng.random_range(0..netlist.num_cells())));
+    cells
+        .into_iter()
+        .map(|c| {
+            let target = (
+                rng.random_range(0.0..chip.width),
+                rng.random_range(0.0..chip.depth),
+                rng.random_range(0..chip.num_layers as u16),
+            );
+            (c, target)
+        })
+        .collect()
+}
+
+/// Drives `ops` random moves/swaps (roughly 1 swap per 3 ops). Around
+/// every commit it probes the watch list — before, so the memo holds
+/// entries the commit must drop, and after, asserting bitwise equality
+/// with a freshly built evaluator of the committed placement.
 fn drive(
     obj: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
@@ -31,12 +121,18 @@ fn drive(
     ops: usize,
 ) {
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut probe_rng = SmallRng::seed_from_u64(seed ^ 0x9E37_79B9);
     for i in 0..ops {
         let c = CellId::new(rng.random_range(0..netlist.num_cells()));
+        let watch;
         if i % 3 == 0 {
             let mut b = CellId::new(rng.random_range(0..netlist.num_cells()));
             if b == c {
                 b = CellId::new((b.index() + 1) % netlist.num_cells());
+            }
+            watch = watch_list(netlist, chip, &[c, b], &mut probe_rng);
+            for &(w, target) in &watch {
+                probe_bits(obj, w, target);
             }
             let probe = obj.delta_swap(c, b);
             let applied = obj.apply_swap(c, b);
@@ -45,9 +141,31 @@ fn drive(
             let x = rng.random_range(0.0..chip.width);
             let y = rng.random_range(0.0..chip.depth);
             let l = rng.random_range(0..chip.num_layers as u16);
+            watch = watch_list(netlist, chip, &[c], &mut probe_rng);
+            for &(w, target) in &watch {
+                probe_bits(obj, w, target);
+            }
             let probe = obj.delta_move(c, x, y, l);
             let applied = obj.apply_move(c, x, y, l);
             assert_eq!(probe, applied, "move probe == commit");
+        }
+        let fresh = IncrementalObjective::new(netlist, obj.model(), obj.placement().clone());
+        for &(w, target) in &watch {
+            let live = probe_bits(obj, w, target);
+            assert_eq!(
+                live,
+                probe_bits(&fresh, w, target),
+                "stale probe of cell {} after op {i}",
+                w.index()
+            );
+            let mut rects = live.2;
+            rects.sort_unstable();
+            assert_eq!(
+                rects,
+                scanned_rects(netlist, obj.placement(), w),
+                "exclusion rectangles of cell {} differ from a scan after op {i}",
+                w.index()
+            );
         }
     }
 }

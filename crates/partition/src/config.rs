@@ -47,8 +47,8 @@ impl BisectConfig {
 
     /// Returns the config with the balance tolerance doubled (capped at
     /// 0.45): the retry step a caller takes after
-    /// [`bisect_fixed_checked`](crate::bisect_fixed_checked) reports an
-    /// imbalance failure.
+    /// [`Bisection::check_balance`](crate::Bisection::check_balance)
+    /// reports an imbalance failure.
     pub fn relaxed(mut self) -> Self {
         self.tolerance = (self.tolerance * 2.0).min(0.45);
         self

@@ -5,7 +5,7 @@
 //! as a standalone API for users who want `k` balanced parts directly
 //! (e.g. one part per device layer).
 
-use crate::{bisect_fixed, BisectConfig, FixedSide, Hypergraph};
+use crate::{bisect, BisectConfig, FixedSide, Hypergraph};
 use tvp_parallel as parallel;
 
 /// Below this many vertices a subtree is recursed serially: the bisection
@@ -140,7 +140,7 @@ fn split_recursive(
         ..config.clone()
     };
     let fixed = vec![FixedSide::Free; vertices.len()];
-    let result = bisect_fixed(&sub, &fixed, &sub_config);
+    let result = bisect(&sub, &fixed, &sub_config, None);
 
     // Split into sides, remembering each vertex's position in `vertices`
     // so the children's results can be scattered back into alignment.

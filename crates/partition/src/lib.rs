@@ -19,13 +19,15 @@
 //! # Example
 //!
 //! ```
-//! use tvp_partition::{Hypergraph, BisectConfig, bisect};
+//! use tvp_partition::{bisect, BisectConfig, FixedSide, Hypergraph};
 //!
 //! let mut hg = Hypergraph::new(4);
 //! hg.add_net(&[0, 1], 1.0);
 //! hg.add_net(&[2, 3], 1.0);
 //! hg.add_net(&[1, 2], 1.0);
-//! let result = bisect(&hg, &BisectConfig::default());
+//! let config = BisectConfig::default();
+//! let result = bisect(&hg, &[FixedSide::Free; 4], &config, None);
+//! assert!(result.clone().check_balance(&config).is_ok());
 //! // The only 2-2 balanced bisection with cut 1 splits {0,1} | {2,3}.
 //! assert_eq!(result.cut, 1.0);
 //! assert_eq!(result.side(0), result.side(1));
@@ -44,9 +46,8 @@ pub use config::BisectConfig;
 pub use hypergraph::Hypergraph;
 pub use kway::{partition_kway, KwayPartition};
 pub use multilevel::{
-    bisect, bisect_fixed, bisect_fixed_checked, bisect_fixed_checked_with_stop,
-    bisect_fixed_profiled, bisect_fixed_with_stop, BisectProfile, Bisection, FixedSide,
-    ImbalanceError, LevelProfile,
+    bisect, bisect_fixed_profiled, BisectProfile, Bisection, FixedSide, ImbalanceError,
+    LevelProfile,
 };
 
 /// Cooperative cancellation probe: polled between refinement chunks; a

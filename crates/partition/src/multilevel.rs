@@ -52,22 +52,49 @@ impl Bisection {
             (w0 - w1).abs() / total
         }
     }
+
+    /// Validates the split against `config`'s balance tolerance instead
+    /// of silently accepting an out-of-tolerance one (which the FM
+    /// refiner can produce on pathological weight distributions, e.g.
+    /// one vertex dominating the total weight, or when a cancelled run
+    /// stopped before rebalancing).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImbalanceError`] (carrying this assignment) when side
+    /// 0's weight fraction deviates from `config.target_fraction` by more
+    /// than `config.tolerance`. Typical recovery: retry with
+    /// [`BisectConfig::relaxed`], and accept the carried best effort once
+    /// retries are exhausted.
+    pub fn check_balance(self, config: &BisectConfig) -> Result<Self, Box<ImbalanceError>> {
+        let [w0, w1] = self.side_weights;
+        let total = w0 + w1;
+        if total == 0.0 {
+            return Ok(self);
+        }
+        let fraction = w0 / total;
+        // Small epsilon so float noise at the boundary never flips a pass
+        // into a retry.
+        if (fraction - config.target_fraction).abs() <= config.tolerance + 1e-9 {
+            Ok(self)
+        } else {
+            Err(Box::new(ImbalanceError {
+                fraction,
+                target_fraction: config.target_fraction,
+                tolerance: config.tolerance,
+                bisection: self,
+            }))
+        }
+    }
 }
 
-/// Bisects a hypergraph with no fixed vertices.
-///
-/// Convenience wrapper over [`bisect_fixed`]. If the hypergraph was not
-/// [finalized](Hypergraph::finalize), a finalized copy is made internally
-/// (callers that bisect repeatedly should finalize once themselves).
-pub fn bisect(hg: &Hypergraph, config: &BisectConfig) -> Bisection {
-    bisect_fixed(hg, &vec![FixedSide::Free; hg.num_vertices()], config)
-}
-
-/// Bisects a hypergraph, honoring per-vertex side pins.
+/// Bisects a hypergraph, honoring per-vertex side pins (all
+/// [`FixedSide::Free`] for an unconstrained split).
 ///
 /// Runs `config.num_starts` independent multilevel V-cycles with seeds
 /// `config.seed + i` and returns the assignment with the smallest cut
-/// (ties broken by balance).
+/// (ties broken by balance). The result is not checked against the
+/// balance tolerance; see [`Bisection::check_balance`].
 ///
 /// The starts are embarrassingly parallel: each V-cycle owns its RNG and
 /// touches no shared state, so they run through the worker pool and the
@@ -75,25 +102,20 @@ pub fn bisect(hg: &Hypergraph, config: &BisectConfig) -> Bisection {
 /// exact comparison sequence of the serial loop, so the result is bitwise
 /// identical for every thread count.
 ///
-/// # Panics
+/// `stop` is a cooperative cancellation probe, polled between coarsening
+/// levels and every ~1k heap operations inside FM refinement. Once it
+/// returns `true`, each running start finishes by rolling back to the
+/// best legal assignment it has seen, so the returned [`Bisection`] is
+/// always consistent — just less refined than an uncancelled run's.
 ///
-/// Panics if `fixed.len() != hg.num_vertices()`.
-pub fn bisect_fixed(hg: &Hypergraph, fixed: &[FixedSide], config: &BisectConfig) -> Bisection {
-    bisect_fixed_with_stop(hg, fixed, config, None)
-}
-
-/// [`bisect_fixed`] with a cooperative cancellation probe.
-///
-/// `stop` is polled between coarsening levels and every ~1k heap
-/// operations inside FM refinement. Once it returns `true`, each running
-/// start finishes by rolling back to the best legal assignment it has
-/// seen, so the returned [`Bisection`] is always consistent — just less
-/// refined than an uncancelled run's.
+/// If the hypergraph was not [finalized](Hypergraph::finalize), a
+/// finalized copy is made internally (callers that bisect repeatedly
+/// should finalize once themselves).
 ///
 /// # Panics
 ///
 /// Panics if `fixed.len() != hg.num_vertices()`.
-pub fn bisect_fixed_with_stop(
+pub fn bisect(
     hg: &Hypergraph,
     fixed: &[FixedSide],
     config: &BisectConfig,
@@ -144,11 +166,12 @@ pub struct LevelProfile {
     pub refine_ms: f64,
 }
 
-/// [`bisect_fixed`] with a per-phase wall-time breakdown.
+/// [`bisect`] (without cancellation) with a per-phase wall-time
+/// breakdown.
 ///
 /// A diagnostic entry point for benchmarking harnesses: the starts run
 /// **serially** so the phase timings don't overlap, making this slower
-/// than [`bisect_fixed`] for `num_starts > 1` on multi-core hosts. The
+/// than [`bisect`] for `num_starts > 1` on multi-core hosts. The
 /// returned assignment is selected by the same fold as the production
 /// path.
 ///
@@ -212,9 +235,9 @@ fn prepared(hg: &Hypergraph) -> Cow<'_, Hypergraph> {
 }
 
 /// A bisection whose side weights violate the configured balance
-/// tolerance (returned by [`bisect_fixed_checked`]). Carries the rejected
-/// assignment so a caller that exhausts its retries can still accept the
-/// best effort.
+/// tolerance (returned by [`Bisection::check_balance`]). Carries the
+/// rejected assignment so a caller that exhausts its retries can still
+/// accept the best effort.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ImbalanceError {
     /// The out-of-tolerance assignment.
@@ -238,70 +261,6 @@ impl std::fmt::Display for ImbalanceError {
 }
 
 impl std::error::Error for ImbalanceError {}
-
-/// [`bisect_fixed`], but validates the result against the configured
-/// balance tolerance instead of silently accepting an out-of-tolerance
-/// split (which the FM refiner can produce on pathological weight
-/// distributions, e.g. one vertex dominating the total weight).
-///
-/// # Errors
-///
-/// Returns [`ImbalanceError`] (carrying the rejected assignment) when
-/// side 0's weight fraction deviates from `config.target_fraction` by
-/// more than `config.tolerance`. Typical recovery: retry with
-/// [`BisectConfig::relaxed`], and accept the carried best effort once
-/// retries are exhausted.
-///
-/// # Panics
-///
-/// Panics if `fixed.len() != hg.num_vertices()`.
-pub fn bisect_fixed_checked(
-    hg: &Hypergraph,
-    fixed: &[FixedSide],
-    config: &BisectConfig,
-) -> Result<Bisection, Box<ImbalanceError>> {
-    bisect_fixed_checked_with_stop(hg, fixed, config, None)
-}
-
-/// [`bisect_fixed_checked`] with a cooperative cancellation probe (see
-/// [`bisect_fixed_with_stop`]).
-///
-/// # Errors
-///
-/// Returns [`ImbalanceError`] exactly like [`bisect_fixed_checked`]. A
-/// cancelled run can legitimately trip it (refinement stopped before
-/// rebalancing), so callers should treat the carried best effort as the
-/// answer once their budget is spent.
-///
-/// # Panics
-///
-/// Panics if `fixed.len() != hg.num_vertices()`.
-pub fn bisect_fixed_checked_with_stop(
-    hg: &Hypergraph,
-    fixed: &[FixedSide],
-    config: &BisectConfig,
-    stop: Option<&StopFn>,
-) -> Result<Bisection, Box<ImbalanceError>> {
-    let bisection = bisect_fixed_with_stop(hg, fixed, config, stop);
-    let [w0, w1] = bisection.side_weights;
-    let total = w0 + w1;
-    if total == 0.0 {
-        return Ok(bisection);
-    }
-    let fraction = w0 / total;
-    // Small epsilon so float noise at the boundary never flips a pass
-    // into a retry.
-    if (fraction - config.target_fraction).abs() <= config.tolerance + 1e-9 {
-        Ok(bisection)
-    } else {
-        Err(Box::new(ImbalanceError {
-            fraction,
-            target_fraction: config.target_fraction,
-            tolerance: config.tolerance,
-            bisection,
-        }))
-    }
-}
 
 fn hg_is_ready(hg: &Hypergraph) -> bool {
     hg.has_incidence()
@@ -451,6 +410,11 @@ mod tests {
     use super::*;
     use rand::RngExt;
 
+    /// Unconstrained, uncancelled bisection.
+    fn bisect_free(hg: &Hypergraph, config: &BisectConfig) -> Bisection {
+        bisect(hg, &vec![FixedSide::Free; hg.num_vertices()], config, None)
+    }
+
     /// `k` cliques of `size` vertices, chained by single bridge nets.
     fn clique_chain(k: usize, size: usize) -> Hypergraph {
         let mut hg = Hypergraph::new(k * size);
@@ -472,7 +436,7 @@ mod tests {
     #[test]
     fn finds_small_cut_on_clique_chain() {
         let hg = clique_chain(4, 8);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
         // The ideal split separates cliques {0,1} from {2,3}: cut 0.5.
         assert!(
             result.cut <= 1.0,
@@ -499,7 +463,7 @@ mod tests {
             }
         }
         hg.finalize();
-        let result = bisect(&hg, &BisectConfig::default().with_starts(2));
+        let result = bisect_free(&hg, &BisectConfig::default().with_starts(2));
         // A random split cuts ~50% of 2500 nets; multilevel should be far
         // below that, and balance must hold.
         assert!(result.cut < 250.0, "cut {} is too large", result.cut);
@@ -514,7 +478,7 @@ mod tests {
         let mut fixed = vec![FixedSide::Free; n];
         fixed[0] = FixedSide::Side1;
         fixed[n - 1] = FixedSide::Side0;
-        let result = bisect_fixed(&hg, &fixed, &BisectConfig::default());
+        let result = bisect(&hg, &fixed, &BisectConfig::default(), None);
         assert_eq!(result.side(0), 1);
         assert_eq!(result.side((n - 1) as u32), 0);
     }
@@ -525,14 +489,14 @@ mod tests {
         hg.add_net(&[0, 1], 1.0);
         hg.add_net(&[2, 3], 1.0);
         // No finalize() on purpose.
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
         assert_eq!(result.sides.len(), 4);
     }
 
     #[test]
     fn empty_graph() {
         let hg = Hypergraph::new(0);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
         assert!(result.sides.is_empty());
         assert_eq!(result.cut, 0.0);
     }
@@ -540,33 +504,53 @@ mod tests {
     #[test]
     fn vertices_without_nets_are_balanced() {
         let hg = Hypergraph::new(10);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
         assert!(result.imbalance() <= 0.2 + 1e-9);
     }
 
     #[test]
     fn restarts_never_hurt() {
         let hg = clique_chain(6, 6);
-        let one = bisect(&hg, &BisectConfig::default().with_starts(1));
-        let many = bisect(&hg, &BisectConfig::default().with_starts(8));
+        let one = bisect_free(&hg, &BisectConfig::default().with_starts(1));
+        let many = bisect_free(&hg, &BisectConfig::default().with_starts(8));
         assert!(many.cut <= one.cut + 1e-9);
     }
 
     #[test]
     fn deterministic_for_same_seed() {
         let hg = clique_chain(4, 8);
-        let a = bisect(&hg, &BisectConfig::default().with_seed(42));
-        let b = bisect(&hg, &BisectConfig::default().with_seed(42));
+        let a = bisect_free(&hg, &BisectConfig::default().with_seed(42));
+        let b = bisect_free(&hg, &BisectConfig::default().with_seed(42));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn check_balance_rejects_only_out_of_tolerance_splits() {
+        let config = BisectConfig::default();
+        let split = |w0: f64, w1: f64| Bisection {
+            sides: Vec::new(),
+            cut: 0.0,
+            side_weights: [w0, w1],
+        };
+        assert!(split(5.0, 5.0).check_balance(&config).is_ok());
+        assert!(split(0.0, 0.0).check_balance(&config).is_ok());
+        let err = split(9.0, 1.0).check_balance(&config).unwrap_err();
+        assert_eq!(err.fraction, 0.9);
+        assert_eq!(err.bisection, split(9.0, 1.0));
+        let relaxed = BisectConfig {
+            tolerance: 0.45,
+            ..config
+        };
+        assert!(split(9.0, 1.0).check_balance(&relaxed).is_ok());
     }
 
     #[test]
     fn parallel_starts_match_serial_bitwise() {
         let hg = clique_chain(6, 6);
         let config = BisectConfig::default().with_starts(8);
-        let serial = parallel::with_threads(1, || bisect(&hg, &config));
+        let serial = parallel::with_threads(1, || bisect_free(&hg, &config));
         for threads in [2, 4] {
-            let par = parallel::with_threads(threads, || bisect(&hg, &config));
+            let par = parallel::with_threads(threads, || bisect_free(&hg, &config));
             assert_eq!(serial, par, "threads = {threads}");
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the multilevel bisector.
 
 use proptest::prelude::*;
-use tvp_partition::{bisect, bisect_fixed, BisectConfig, FixedSide, Hypergraph};
+use tvp_partition::{bisect, BisectConfig, Bisection, FixedSide, Hypergraph};
 
 /// Random hypergraph: vertex weights plus nets of 2–6 distinct vertices.
 fn hypergraph_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
@@ -20,6 +20,11 @@ fn hypergraph_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
     })
 }
 
+/// Unconstrained, uncancelled bisection.
+fn bisect_free(hg: &Hypergraph, config: &BisectConfig) -> Bisection {
+    bisect(hg, &vec![FixedSide::Free; hg.num_vertices()], config, None)
+}
+
 fn build(weights: &[f64], nets: &[Vec<u32>]) -> Hypergraph {
     let mut hg = Hypergraph::with_vertex_weights(weights.to_vec());
     for net in nets {
@@ -35,7 +40,7 @@ proptest! {
     #[test]
     fn bisection_invariants((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
 
         // Every vertex got a side, and sides are 0/1.
         prop_assert_eq!(result.sides.len(), hg.num_vertices());
@@ -74,7 +79,7 @@ proptest! {
             let v = p % n;
             fixed[v] = if i % 2 == 0 { FixedSide::Side0 } else { FixedSide::Side1 };
         }
-        let result = bisect_fixed(&hg, &fixed, &BisectConfig::default());
+        let result = bisect(&hg, &fixed, &BisectConfig::default(), None);
         for (v, &f) in fixed.iter().enumerate() {
             match f {
                 FixedSide::Side0 => prop_assert_eq!(result.sides[v], 0),
@@ -88,8 +93,8 @@ proptest! {
     fn determinism((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
         let config = BisectConfig::default().with_seed(7);
-        let a = bisect(&hg, &config);
-        let b = bisect(&hg, &config);
+        let a = bisect_free(&hg, &config);
+        let b = bisect_free(&hg, &config);
         prop_assert_eq!(a, b);
     }
 
@@ -101,9 +106,9 @@ proptest! {
     fn parallel_bisection_bitwise_equals_serial((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
         let config = BisectConfig::default().with_seed(11).with_starts(4);
-        let serial = tvp_parallel::with_threads(1, || bisect(&hg, &config));
+        let serial = tvp_parallel::with_threads(1, || bisect_free(&hg, &config));
         for threads in [2usize, 4] {
-            let parallel = tvp_parallel::with_threads(threads, || bisect(&hg, &config));
+            let parallel = tvp_parallel::with_threads(threads, || bisect_free(&hg, &config));
             prop_assert_eq!(&serial, &parallel,
                 "bisection diverged between 1 and {} threads", threads);
         }
@@ -112,7 +117,7 @@ proptest! {
     #[test]
     fn cut_never_exceeds_total_net_weight((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
         prop_assert!(result.cut <= nets.len() as f64 + 1e-9);
         prop_assert!(result.cut >= 0.0);
     }

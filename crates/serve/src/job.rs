@@ -62,55 +62,47 @@ impl JobSpec {
     /// Returns a `400`-worthy message for missing/contradictory design
     /// sources, out-of-range parameters, or unknown fault specs.
     pub fn from_json(body: &Value) -> Result<JobSpec, String> {
+        // An absent field takes its default; a present one must parse,
+        // or admission fails naming it — never a silent default.
+        fn field<'v, T>(
+            body: &'v Value,
+            key: &str,
+            what: &str,
+            parse: impl FnOnce(&'v Value) -> Option<T>,
+        ) -> Result<Option<T>, String> {
+            body.get(key)
+                .map(|v| parse(v).ok_or_else(|| format!("`{key}` must be {what}")))
+                .transpose()
+        }
+        let uint = |key| field(body, key, "a non-negative integer", Value::as_u64);
+        let num = |key| field(body, key, "a number", Value::as_f64);
+        let text = |key| field(body, key, "a string", |v| v.as_str().map(str::to_string));
         let spec = JobSpec {
-            name: body
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("job")
-                .to_string(),
-            cells: body
-                .get("cells")
-                .map(|v| {
-                    v.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or("`cells` must be a non-negative integer")
-                })
-                .transpose()?,
-            seed: body.get("seed").and_then(Value::as_u64).unwrap_or(1),
-            layers: body.get("layers").and_then(Value::as_u64).unwrap_or(2) as usize,
-            alpha_ilv: body.get("alpha_ilv").and_then(Value::as_f64),
-            alpha_temp: body.get("alpha_temp").and_then(Value::as_f64),
-            deadline_seconds: body.get("deadline_seconds").and_then(Value::as_f64),
-            max_attempts: body
-                .get("max_attempts")
-                .and_then(Value::as_u64)
-                .map(|n| n as u32),
-            threads: body
-                .get("threads")
-                .and_then(Value::as_u64)
-                .map(|n| n as usize),
-            inject_faults: body
-                .get("inject_faults")
-                .and_then(Value::as_arr)
-                .map(|items| {
-                    items
-                        .iter()
-                        .map(|v| {
-                            v.as_str()
-                                .map(str::to_string)
-                                .ok_or("`inject_faults` entries must be strings")
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .transpose()?
-                .unwrap_or_default(),
-            nodes: body
-                .get("nodes")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            nets: body.get("nets").and_then(Value::as_str).map(str::to_string),
-            wts: body.get("wts").and_then(Value::as_str).map(str::to_string),
-            pl: body.get("pl").and_then(Value::as_str).map(str::to_string),
+            name: text("name")?.unwrap_or_else(|| "job".to_string()),
+            cells: uint("cells")?.map(|n| n as usize),
+            seed: uint("seed")?.unwrap_or(1),
+            layers: uint("layers")?.map_or(2, |n| n as usize),
+            alpha_ilv: num("alpha_ilv")?,
+            alpha_temp: num("alpha_temp")?,
+            deadline_seconds: num("deadline_seconds")?,
+            max_attempts: field(
+                body,
+                "max_attempts",
+                "a non-negative integer below 2^32",
+                |v| v.as_u64().and_then(|n| u32::try_from(n).ok()),
+            )?,
+            threads: uint("threads")?.map(|n| n as usize),
+            inject_faults: field(body, "inject_faults", "an array of strings", |v| {
+                v.as_arr()?
+                    .iter()
+                    .map(|item| item.as_str().map(str::to_string))
+                    .collect()
+            })?
+            .unwrap_or_default(),
+            nodes: text("nodes")?,
+            nets: text("nets")?,
+            wts: text("wts")?,
+            pl: text("pl")?,
         };
         spec.validate()?;
         Ok(spec)
@@ -136,9 +128,18 @@ impl JobSpec {
         }
         if self
             .deadline_seconds
-            .is_some_and(|d| d <= 0.0 || d.is_nan())
+            .is_some_and(|d| d <= 0.0 || Duration::try_from_secs_f64(d).is_err())
         {
-            return Err("`deadline_seconds` must be positive".to_string());
+            return Err("`deadline_seconds` must be positive and finite".to_string());
+        }
+        if self.alpha_ilv.is_some_and(|a| !(a.is_finite() && a > 0.0)) {
+            return Err("`alpha_ilv` must be positive and finite".to_string());
+        }
+        if self
+            .alpha_temp
+            .is_some_and(|a| !(a.is_finite() && a >= 0.0))
+        {
+            return Err("`alpha_temp` must be non-negative and finite".to_string());
         }
         if self.max_attempts.is_some_and(|a| a == 0) {
             return Err("`max_attempts` must be at least 1".to_string());
@@ -564,6 +565,39 @@ mod tests {
                 r#"{"cells":100,"inject_faults":["bogus"]}"#,
                 "unknown fault kind",
             ),
+            // Present but mistyped or out of range: rejected by name,
+            // never replaced with the field's default.
+            (r#"{"cells":100,"seed":1e300}"#, "`seed`"),
+            (r#"{"cells":100,"seed":-1}"#, "`seed`"),
+            (
+                r#"{"cells":100,"deadline_seconds":"5"}"#,
+                "`deadline_seconds`",
+            ),
+            (
+                r#"{"cells":100,"deadline_seconds":1e300}"#,
+                "`deadline_seconds`",
+            ),
+            (r#"{"cells":100,"layers":4.5}"#, "`layers`"),
+            (r#"{"cells":"100"}"#, "`cells`"),
+            (r#"{"cells":100,"name":7}"#, "`name`"),
+            (r#"{"cells":100,"alpha_ilv":"1e-5"}"#, "`alpha_ilv`"),
+            (r#"{"cells":100,"alpha_ilv":-1e-5}"#, "`alpha_ilv`"),
+            (r#"{"cells":100,"alpha_temp":true}"#, "`alpha_temp`"),
+            (r#"{"cells":100,"alpha_temp":-1}"#, "`alpha_temp`"),
+            (r#"{"cells":100,"max_attempts":2.5}"#, "`max_attempts`"),
+            (
+                r#"{"cells":100,"max_attempts":4294967296}"#,
+                "`max_attempts`",
+            ),
+            (r#"{"cells":100,"threads":"2"}"#, "`threads`"),
+            (
+                r#"{"cells":100,"inject_faults":"nan-power"}"#,
+                "`inject_faults`",
+            ),
+            (r#"{"cells":100,"inject_faults":[1]}"#, "`inject_faults`"),
+            (r#"{"nodes":"x","nets":3}"#, "`nets`"),
+            (r#"{"nodes":"x","nets":"y","wts":1}"#, "`wts`"),
+            (r#"{"nodes":"x","nets":"y","pl":null}"#, "`pl`"),
         ] {
             let err = JobSpec::from_json(&Value::parse(body).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
