@@ -12,9 +12,9 @@ use tvp_bench::netlist_of;
 use tvp_bookshelf::synth::SynthConfig;
 use tvp_core::coarse::moves::global_pass;
 use tvp_core::coarse::DensityMesh;
-use tvp_core::global::global_place;
+use tvp_core::global;
 use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
-use tvp_core::{Chip, PlacerConfig};
+use tvp_core::{Chip, PlacerConfig, StageRun};
 use tvp_partition::{bench_hooks, BisectConfig, Hypergraph};
 
 fn hypergraph_from(cells: usize) -> Hypergraph {
@@ -63,7 +63,15 @@ fn bench_coarse_batch_pricing(c: &mut Criterion) {
         let config = PlacerConfig::new(4);
         let chip = Chip::from_netlist(&netlist, &config).expect("valid");
         let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let (placement, _) = global::place(
+            &netlist,
+            &chip,
+            &model,
+            &config,
+            &[],
+            false,
+            &mut StageRun::default(),
+        );
         group.bench_with_input(
             BenchmarkId::from_parameter(cells),
             &placement,
@@ -81,6 +89,7 @@ fn bench_coarse_batch_pricing(c: &mut Criterion) {
                         &chip,
                         config.coarse_target_region_bins,
                         &mut rng,
+                        &mut StageRun::default(),
                     ))
                 })
             },
@@ -119,7 +128,15 @@ fn bench_shift_kernels(c: &mut Criterion) {
     let config = PlacerConfig::new(4);
     let chip = Chip::from_netlist(&netlist, &config).expect("valid");
     let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
-    let placement = global_place(&netlist, &chip, &model, &config);
+    let (placement, _) = global::place(
+        &netlist,
+        &chip,
+        &model,
+        &config,
+        &[],
+        false,
+        &mut StageRun::default(),
+    );
     group.sample_size(10);
     group.bench_function("full_pass_10k", |b| {
         b.iter(|| {

@@ -5,11 +5,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tvp_bench::netlist_of;
 use tvp_bookshelf::synth::SynthConfig;
-use tvp_core::coarse::{coarse_legalize, DensityMesh};
-use tvp_core::detail::detail_legalize;
-use tvp_core::global::global_place;
+use tvp_core::coarse::{self, DensityMesh};
 use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
-use tvp_core::{Chip, PlacerConfig};
+use tvp_core::{detail, global};
+use tvp_core::{Chip, PlacerConfig, StageRun};
 
 fn fixture(
     cells: usize,
@@ -24,7 +23,15 @@ fn fixture(
     let config = PlacerConfig::new(4);
     let chip = Chip::from_netlist(&netlist, &config).expect("valid");
     let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
-    let placement = global_place(&netlist, &chip, &model, &config);
+    let (placement, _) = global::place(
+        &netlist,
+        &chip,
+        &model,
+        &config,
+        &[],
+        false,
+        &mut StageRun::default(),
+    );
     (netlist, chip, model, config, placement)
 }
 
@@ -35,7 +42,13 @@ fn bench_coarse(c: &mut Criterion) {
     group.bench_function("1000_cells", |b| {
         b.iter(|| {
             let mut objective = IncrementalObjective::new(&netlist, &model, placement.clone());
-            black_box(coarse_legalize(&mut objective, &netlist, &chip, &config));
+            black_box(coarse::legalize(
+                &mut objective,
+                &netlist,
+                &chip,
+                &config,
+                &mut StageRun::default(),
+            ));
         })
     });
     group.finish();
@@ -45,7 +58,13 @@ fn bench_detail(c: &mut Criterion) {
     let (netlist, chip, model, config, placement) = fixture(1_000);
     // Pre-run coarse once so detail sees its usual input.
     let mut objective = IncrementalObjective::new(&netlist, &model, placement);
-    coarse_legalize(&mut objective, &netlist, &chip, &config);
+    coarse::legalize(
+        &mut objective,
+        &netlist,
+        &chip,
+        &config,
+        &mut StageRun::default(),
+    );
     let coarse_placement = objective.placement().clone();
     let mut group = c.benchmark_group("detail_legalize");
     group.sample_size(10);
@@ -53,11 +72,12 @@ fn bench_detail(c: &mut Criterion) {
         b.iter(|| {
             let mut objective =
                 IncrementalObjective::new(&netlist, &model, coarse_placement.clone());
-            black_box(detail_legalize(
+            black_box(detail::legalize(
                 &mut objective,
                 &netlist,
                 &chip,
                 config.detail_row_window,
+                &mut StageRun::default(),
             ));
         })
     });

@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tvp_bench::netlist_of;
 use tvp_bookshelf::synth::SynthConfig;
-use tvp_core::global::global_place;
+use tvp_core::global;
 use tvp_core::objective::ObjectiveModel;
-use tvp_core::{Chip, Placer, PlacerConfig};
+use tvp_core::{Chip, Placer, PlacerConfig, StageRun};
 
 fn bench_full_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("place_full");
@@ -33,7 +33,17 @@ fn bench_global_stage(c: &mut Criterion) {
             BenchmarkId::from_parameter(cells),
             &(netlist, chip, model, config),
             |b, (netlist, chip, model, config)| {
-                b.iter(|| black_box(global_place(netlist, chip, model, config)))
+                b.iter(|| {
+                    black_box(global::place(
+                        netlist,
+                        chip,
+                        model,
+                        config,
+                        &[],
+                        false,
+                        &mut StageRun::default(),
+                    ))
+                })
             },
         );
     }

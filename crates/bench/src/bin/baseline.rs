@@ -5,11 +5,10 @@
 
 use std::time::Instant;
 use tvp_bench::{netlist_of, pct, print_row, Args};
-use tvp_core::coarse::coarse_legalize;
-use tvp_core::detail::{check_legal, detail_legalize, refine_legal};
-use tvp_core::global::{force_directed_place, global_place};
+use tvp_core::global::force_directed_place;
 use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
-use tvp_core::{Chip, PlacerConfig};
+use tvp_core::{coarse, detail, global};
+use tvp_core::{Chip, PlacerConfig, StageRun};
 use tvp_netlist::Netlist;
 
 struct Outcome {
@@ -22,16 +21,32 @@ fn run_flow(netlist: &Netlist, config: &PlacerConfig, force_directed: bool) -> O
     let start = Instant::now();
     let chip = Chip::from_netlist(netlist, config).expect("valid config");
     let model = ObjectiveModel::new(netlist, &chip, config).expect("valid model");
+    let run = &mut StageRun::default();
     let placement = if force_directed {
         force_directed_place(netlist, &chip, &model, config)
     } else {
-        global_place(netlist, &chip, &model, config)
+        global::place(netlist, &chip, &model, config, &[], false, run).0
     };
     let mut objective = IncrementalObjective::new(netlist, &model, placement);
-    coarse_legalize(&mut objective, netlist, &chip, config);
-    detail_legalize(&mut objective, netlist, &chip, config.detail_row_window);
-    refine_legal(&mut objective, netlist, &chip, config.legal_refine_passes);
-    assert_eq!(check_legal(netlist, &chip, objective.placement()), None);
+    coarse::legalize(&mut objective, netlist, &chip, config, run);
+    detail::legalize(
+        &mut objective,
+        netlist,
+        &chip,
+        config.detail_row_window,
+        run,
+    );
+    detail::refine(
+        &mut objective,
+        netlist,
+        &chip,
+        config.legal_refine_passes,
+        run,
+    );
+    assert_eq!(
+        detail::check_legal(netlist, &chip, objective.placement()),
+        None
+    );
     Outcome {
         wirelength: objective.total_wirelength(),
         ilv: objective.total_ilv(),

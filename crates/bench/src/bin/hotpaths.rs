@@ -36,6 +36,7 @@ use tvp_core::netweight::NetWeights;
 use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
 use tvp_core::{
     Chip, PassEvent, PlaceOptions, Placement, Placer, PlacerConfig, PlacerEvent, PlacerObserver,
+    StageRun,
 };
 use tvp_netlist::{CellId, Netlist, NetlistBuilder, PinDirection};
 use tvp_partition::{bisect, bisect_fixed_profiled, BisectConfig, FixedSide, Hypergraph};
@@ -324,7 +325,15 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
             let chip = Chip::from_netlist(netlist, &config).expect("chip");
             let model = ObjectiveModel::new(netlist, &chip, &config).expect("model");
             let t = Instant::now();
-            let placement = tvp_core::global::global_place(netlist, &chip, &model, &config);
+            let (placement, _) = tvp_core::global::place(
+                netlist,
+                &chip,
+                &model,
+                &config,
+                &[],
+                false,
+                &mut StageRun::default(),
+            );
             let global_ms = t.elapsed().as_secs_f64() * 1e3;
             let mut row = format!(
                 "{{\"threads\": {threads}, \"stages\": \"{}\", \"global_ms\": {global_ms:.1}",
@@ -338,17 +347,17 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                 let mut objective = IncrementalObjective::new(netlist, &model, placement);
                 let mut shift_passes = 0usize;
                 let t = Instant::now();
-                tvp_core::coarse::coarse_legalize_observed(
+                tvp_core::coarse::legalize(
                     &mut objective,
                     netlist,
                     &chip,
                     &config,
-                    &mut |p| {
+                    &mut StageRun::observed(&mut |p| {
                         if matches!(p, PassEvent::ShiftPass { .. }) {
                             shift_passes += 1;
                         }
                         std::ops::ControlFlow::Continue(())
-                    },
+                    }),
                 );
                 let _ = write!(
                     row,

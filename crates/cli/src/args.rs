@@ -45,12 +45,11 @@ USAGE:
                      (place) pick the thermal-oracle tier one pipeline
                      site queries; STAGE is one of global, coarse,
                      detail, final and TIER is full-grid (the default
-                     everywhere), coarse-grid, or compact (the fitted
-                     analytical model; with --alpha-temp > 0 the coarse/
-                     detail sites also price individual moves against
-                     it); may repeat. Non-full-grid stage solves record
-                     their error against the full-grid reference in the
-                     trace
+                     everywhere) or compact (the fitted analytical
+                     model; with --alpha-temp > 0 the coarse/detail
+                     sites also price individual moves against it); may
+                     repeat. Non-full-grid stage solves record their
+                     error against the full-grid reference in the trace
   --scenario S       (sweep) alpha-ilv (default: trace the wirelength/via
                      tradeoff) or stacks (place onto named heterogeneous
                      layer stacks and tabulate the thermal impact)
@@ -680,12 +679,12 @@ mod tests {
     #[test]
     fn thermal_tier_flags_accumulate() {
         let Command::Place(a) = parse(&argv(
-            "place d.aux --thermal-tier coarse=compact --thermal-tier global=coarse-grid",
+            "place d.aux --thermal-tier coarse=compact --thermal-tier global=full-grid",
         ))
         .unwrap() else {
             panic!("expected place")
         };
-        assert_eq!(a.thermal_tiers, ["coarse=compact", "global=coarse-grid"]);
+        assert_eq!(a.thermal_tiers, ["coarse=compact", "global=full-grid"]);
 
         let Command::Place(d) = parse(&argv("place d.aux")).unwrap() else {
             panic!()

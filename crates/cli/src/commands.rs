@@ -56,8 +56,8 @@ fn parse_tier_spec(spec: &str) -> Result<(&str, ThermalTier), String> {
     }
     let tier = ThermalTier::parse(tier_str).ok_or_else(|| {
         format!(
-            "unknown thermal tier `{tier_str}` (expected full-grid, \
-             coarse-grid, or compact)"
+            "unknown thermal tier `{tier_str}` (expected full-grid or \
+             compact)"
         )
     })?;
     Ok((stage, tier))
@@ -805,7 +805,7 @@ mod tests {
 
         let out = run(&argv(&format!(
             "place {dir}/t.aux --layers 2 --alpha-temp 1e-4 \
-             --thermal-tier global=coarse-grid --thermal-tier coarse=compact \
+             --thermal-tier global=compact --thermal-tier coarse=compact \
              --thermal-tier detail=compact"
         )))
         .unwrap();
@@ -817,11 +817,13 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("unknown thermal-tier stage"), "{err}");
 
-        let err = run(&argv(&format!(
-            "place {dir}/t.aux --thermal-tier coarse=quantum"
-        )))
-        .unwrap_err();
-        assert!(err.contains("unknown thermal tier"), "{err}");
+        for tier in ["quantum", "coarse-grid"] {
+            let err = run(&argv(&format!(
+                "place {dir}/t.aux --thermal-tier coarse={tier}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("unknown thermal tier"), "{err}");
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

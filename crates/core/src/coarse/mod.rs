@@ -7,42 +7,19 @@ pub mod shift;
 
 pub use mesh::DensityMesh;
 
+use crate::engine::StageRun;
 use crate::objective::IncrementalObjective;
 use crate::observer::PassEvent;
-use crate::thermal_pricer::ThermalMovePricer;
 use crate::{Chip, PlacerConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::ops::ControlFlow;
 use tvp_netlist::Netlist;
 
-/// Runs the full coarse-legalization stage (§6 ordering): global
-/// moves/swaps, local moves/swaps, then cell shifting until the maximum
-/// bin density falls below the configured target.
-///
-/// Returns the mesh in its final state so detailed legalization can reuse
-/// the density information.
-pub fn coarse_legalize(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    config: &PlacerConfig,
-) -> DensityMesh {
-    let (mesh, _interrupted) =
-        coarse_legalize_observed(objective, netlist, chip, config, &mut |_| {
-            ControlFlow::Continue(())
-        });
-    mesh
-}
-
-/// [`coarse_legalize`] with a pass-boundary probe: after every moves pass
-/// and every shifting phase the probe receives a [`PassEvent`] and may
-/// return [`ControlFlow::Break`] to stop the stage at that boundary.
-///
-/// Returns the mesh plus whether the stage was interrupted. The probe
-/// never changes the moves the stage makes — a probe that always continues
-/// produces bit-identical results to [`coarse_legalize`] (it *is*
-/// [`coarse_legalize`]).
+/// perfbench's replay surface (`perfbench/src/place.rs` calls it by
+/// name, so its name and signature stay): [`legalize`] with a run that
+/// reports to `probe` and stops where it breaks. Library code calls
+/// [`legalize`].
 pub fn coarse_legalize_observed(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
@@ -50,20 +27,31 @@ pub fn coarse_legalize_observed(
     config: &PlacerConfig,
     probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
 ) -> (DensityMesh, bool) {
-    coarse_legalize_priced(objective, netlist, chip, config, None, probe)
+    legalize(
+        objective,
+        netlist,
+        chip,
+        config,
+        &mut StageRun::observed(probe),
+    )
 }
 
-/// [`coarse_legalize_observed`] with optional per-move thermal pricing:
-/// an armed pricer (compact tier + `alpha_temp > 0`) adds the
-/// frozen-field thermal term to every move/swap candidate's delta
-/// (DESIGN.md §14). `None` is bit-identical to the unpriced stage.
-pub(crate) fn coarse_legalize_priced(
+/// Runs the full coarse-legalization stage (§6 ordering): global
+/// moves/swaps, local moves/swaps, then cell shifting until the maximum
+/// bin density falls below the configured target.
+///
+/// After every moves pass and every shifting pass and phase, `run`
+/// receives a [`PassEvent`] and may stop the stage at that boundary; an
+/// armed pricer adds the frozen-field thermal term to every move/swap
+/// candidate's delta (DESIGN.md §14). Returns the mesh in its final state
+/// (so detailed legalization can reuse the density information) plus
+/// whether the stage was interrupted.
+pub fn legalize(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
     config: &PlacerConfig,
-    mut pricer: Option<&mut ThermalMovePricer>,
-    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
+    run: &mut StageRun<'_>,
 ) -> (DensityMesh, bool) {
     let mut mesh = DensityMesh::coarse(chip);
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xC0A5_E5EE);
@@ -76,98 +64,81 @@ pub(crate) fn coarse_legalize_priced(
     mesh.rebuild(netlist, objective.placement());
 
     for pass in 0..config.coarse_move_passes {
-        let mut improved = moves::global_pass_priced(
+        let mut improved = moves::global_pass(
             objective,
             &mut mesh,
             netlist,
             chip,
             config.coarse_target_region_bins,
             &mut rng,
-            pricer.as_deref_mut(),
+            run,
         );
-        improved += moves::local_pass_priced(
-            objective,
-            &mut mesh,
-            netlist,
-            chip,
-            &mut rng,
-            pricer.as_deref_mut(),
-        );
-        if probe(PassEvent::CoarseMoves {
-            pass,
-            improved,
-            objective: objective.total(),
-        })
-        .is_break()
+        improved += moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng, run);
+        if run
+            .pass(PassEvent::CoarseMoves {
+                pass,
+                improved,
+                objective: objective.total(),
+            })
+            .is_break()
         {
             return (mesh, true);
         }
     }
 
-    let (iterations, interrupted) = shift::shift_until_spread_observed(
-        objective,
-        &mut mesh,
-        netlist,
-        chip,
-        config.coarse_max_density,
-        config.coarse_shift_iterations,
-        config.shift_strategy,
-        &mut |r| probe(shift_pass_event(r)),
-    );
-    if interrupted
-        || probe(PassEvent::CoarseShift {
-            iterations,
-            max_density: mesh.max_density(),
+    if shift_phase(objective, &mut mesh, netlist, chip, config, run)
+        != Some(ControlFlow::Continue(()))
+    {
+        return (mesh, true);
+    }
+
+    // One final local cleanup now that densities are even.
+    let improved = moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng, run);
+    if run
+        .pass(PassEvent::CoarseMoves {
+            pass: config.coarse_move_passes,
+            improved,
             objective: objective.total(),
         })
         .is_break()
     {
         return (mesh, true);
     }
-
-    // One final local cleanup now that densities are even.
-    let improved = moves::local_pass_priced(objective, &mut mesh, netlist, chip, &mut rng, pricer);
-    if probe(PassEvent::CoarseMoves {
-        pass: config.coarse_move_passes,
-        improved,
-        objective: objective.total(),
-    })
-    .is_break()
-    {
-        return (mesh, true);
-    }
     // Moves may have re-congested isolated bins; restore the density
-    // guarantee detailed legalization relies on.
-    let (iterations, interrupted) = shift::shift_until_spread_observed(
+    // guarantee detailed legalization relies on. The stage ends with this
+    // phase, so only a stop inside the spread counts as an interruption.
+    let interrupted = shift_phase(objective, &mut mesh, netlist, chip, config, run).is_none();
+    (mesh, interrupted)
+}
+
+/// One shifting phase: spreads toward the configured target, then
+/// reports a [`PassEvent::CoarseShift`]. Returns `None` when `run`
+/// stopped the spread itself, else the report's cancellation answer.
+fn shift_phase(
+    objective: &mut IncrementalObjective<'_>,
+    mesh: &mut DensityMesh,
+    netlist: &Netlist,
+    chip: &Chip,
+    config: &PlacerConfig,
+    run: &mut StageRun<'_>,
+) -> Option<ControlFlow<()>> {
+    let (iterations, interrupted) = shift::spread(
         objective,
-        &mut mesh,
+        mesh,
         netlist,
         chip,
         config.coarse_max_density,
         config.coarse_shift_iterations,
         config.shift_strategy,
-        &mut |r| probe(shift_pass_event(r)),
+        run,
     );
-    if interrupted {
-        return (mesh, true);
-    }
-    let _ = probe(PassEvent::CoarseShift {
-        iterations,
-        max_density: mesh.max_density(),
-        objective: objective.total(),
-    });
-    (mesh, false)
-}
-
-/// Maps a per-pass shifting report onto the observer event stream.
-fn shift_pass_event(r: shift::ShiftPassReport) -> PassEvent {
-    PassEvent::ShiftPass {
-        pass: r.pass,
-        moved: r.moved,
-        max_boundary_delta: r.max_boundary_delta,
-        max_density: r.max_density,
-        wall_ms: r.wall_ms,
-    }
+    (!interrupted).then(|| {
+        run.pass(PassEvent::CoarseShift {
+            iterations,
+            max_density: mesh.max_density(),
+            objective: objective.total(),
+        })
+    })
 }
 
 /// Displaces every movable cell by a small random offset (within one bin)
@@ -196,7 +167,6 @@ fn jitter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::global_place;
     use crate::objective::ObjectiveModel;
     use tvp_bookshelf::synth::{generate, SynthConfig};
 
@@ -206,14 +176,16 @@ mod tests {
         let config = PlacerConfig::new(2);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let mut run = StageRun::default();
+        let (placement, _) =
+            crate::global::place(&netlist, &chip, &model, &config, &[], false, &mut run);
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
 
         let mut initial_mesh = DensityMesh::coarse(&chip);
         initial_mesh.rebuild(&netlist, objective.placement());
         let density_before = initial_mesh.max_density();
 
-        let mesh = coarse_legalize(&mut objective, &netlist, &chip, &config);
+        let (mesh, _) = legalize(&mut objective, &netlist, &chip, &config, &mut run);
 
         assert!(
             mesh.max_density() < density_before,

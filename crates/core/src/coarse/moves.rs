@@ -34,6 +34,7 @@
 //! touches one of its nets (DESIGN.md §11, §17).
 
 use super::mesh::DensityMesh;
+use crate::engine::StageRun;
 use crate::objective::{FrozenPricer, IncrementalObjective};
 use crate::thermal_pricer::ThermalMovePricer;
 use crate::Chip;
@@ -60,28 +61,20 @@ const PROPOSE_MIN_CHUNK: usize = 32;
 
 /// One pass of local moves/swaps over all movable cells (random order).
 /// Returns the number of improving actions executed.
+///
+/// When `run` carries a pricer (compact tier + `alpha_temp > 0`), every
+/// candidate's objective delta additionally carries the frozen-field
+/// thermal term and committed actions re-superpose the moved power
+/// (DESIGN.md §14). The pass reports no events.
 pub fn local_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
     chip: &Chip,
     rng: &mut SmallRng,
+    run: &mut StageRun<'_>,
 ) -> usize {
-    local_pass_priced(objective, mesh, netlist, chip, rng, None)
-}
-
-/// [`local_pass`] with optional per-move thermal pricing: when a pricer
-/// is armed (compact tier + `alpha_temp > 0`), every candidate's
-/// objective delta additionally carries the frozen-field thermal term
-/// and committed actions re-superpose the moved power (DESIGN.md §14).
-pub(crate) fn local_pass_priced(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    rng: &mut SmallRng,
-    mut pricer: Option<&mut ThermalMovePricer>,
-) -> usize {
+    let mut pricer = run.pricer.as_deref_mut();
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
     if pricer.is_none() && objective.frozen_pricer().is_some() {
@@ -133,7 +126,8 @@ fn local_candidates(mesh: &DensityMesh, cell: CellId, out: &mut Vec<usize>) {
 }
 
 /// One pass of global moves/swaps toward each cell's optimal region.
-/// Returns the number of improving actions executed.
+/// Returns the number of improving actions executed. `run`'s pricer
+/// prices moves as in [`local_pass`].
 pub fn global_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -141,21 +135,9 @@ pub fn global_pass(
     chip: &Chip,
     region_bins: usize,
     rng: &mut SmallRng,
+    run: &mut StageRun<'_>,
 ) -> usize {
-    global_pass_priced(objective, mesh, netlist, chip, region_bins, rng, None)
-}
-
-/// [`global_pass`] with optional per-move thermal pricing (see
-/// [`local_pass_priced`]).
-pub(crate) fn global_pass_priced(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    region_bins: usize,
-    rng: &mut SmallRng,
-    mut pricer: Option<&mut ThermalMovePricer>,
-) -> usize {
+    let mut pricer = run.pricer.as_deref_mut();
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
     if pricer.is_none() && objective.frozen_pricer().is_some() {
@@ -674,8 +656,10 @@ mod tests {
         mesh.rebuild(&netlist, objective.placement());
         let before = objective.total();
         let mut rng = SmallRng::seed_from_u64(1);
-        let improved_global = global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng);
-        let improved_local = local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng);
+        let run = &mut StageRun::default();
+        let improved_global =
+            global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng, run);
+        let improved_local = local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng, run);
         assert!(
             improved_global + improved_local > 0,
             "random start must improve"
@@ -695,8 +679,9 @@ mod tests {
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
         let mut rng = SmallRng::seed_from_u64(2);
-        local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng);
-        global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng);
+        let run = &mut StageRun::default();
+        local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng, run);
+        global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng, run);
         // Every cell's registered bin matches its actual position.
         for (cell, x, y, layer) in objective.placement().iter() {
             if netlist.cell(cell).is_movable() {

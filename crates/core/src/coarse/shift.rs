@@ -32,9 +32,10 @@
 //! row loop.
 
 use super::mesh::DensityMesh;
+use crate::engine::StageRun;
 use crate::objective::{CellMove, FrozenPricer, IncrementalObjective};
+use crate::observer::PassEvent;
 use crate::{Chip, ShiftStrategy};
-use std::ops::ControlFlow;
 use tvp_netlist::Netlist;
 use tvp_parallel as parallel;
 
@@ -95,36 +96,8 @@ pub struct ShiftPassStats {
     pub max_boundary_delta: f64,
 }
 
-/// One per-pass report delivered to the
-/// [`shift_until_spread_observed`] probe.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ShiftPassReport {
-    /// Pass index within the phase, from 0.
-    pub pass: usize,
-    /// Cells the pass moved.
-    pub moved: usize,
-    /// Largest relative bin-boundary displacement of the pass.
-    pub max_boundary_delta: f64,
-    /// Maximum bin density after the pass — the stall-detection signal.
-    pub max_density: f64,
-    /// Wall-clock milliseconds the pass took.
-    pub wall_ms: f64,
-}
-
-/// One full cell-shifting pass over every x row and every y row.
-/// Returns the number of cells moved.
-pub fn shift_pass(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    target_density: f64,
-    strategy: ShiftStrategy,
-) -> usize {
-    shift_pass_stats(objective, mesh, netlist, chip, target_density, strategy).moved
-}
-
-/// [`shift_pass`] with the full per-pass statistics.
+/// One full cell-shifting pass over every x row and every y row (plus
+/// the z columns when a whole layer is overfull).
 pub fn shift_pass_stats(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -627,34 +600,9 @@ fn shift_row(
 }
 
 /// Runs shifting passes until the mesh's maximum density drops below
-/// `target`, the passes converge (see
-/// [`shift_until_spread_observed`]), or `max_iterations` is exhausted.
-/// Returns the number of iterations executed.
-pub fn shift_until_spread(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    target: f64,
-    max_iterations: usize,
-    strategy: ShiftStrategy,
-) -> usize {
-    let (iterations, _) = shift_until_spread_observed(
-        objective,
-        mesh,
-        netlist,
-        chip,
-        target,
-        max_iterations,
-        strategy,
-        &mut |_| ControlFlow::Continue(()),
-    );
-    iterations
-}
-
-/// [`shift_until_spread`] with a per-pass probe: after every pass the
-/// probe receives a [`ShiftPassReport`] and may return
-/// [`ControlFlow::Break`] to stop at that boundary.
+/// `target`, the passes converge, or `max_iterations` is exhausted. After
+/// every pass `run` receives a [`PassEvent::ShiftPass`] and may stop the
+/// spread at that boundary.
 ///
 /// Termination is convergence-adaptive rather than a fixed pass count.
 /// The loop stops when:
@@ -673,9 +621,9 @@ pub fn shift_until_spread(
 ///   so neither of the first two criteria ever fires (DESIGN.md §17).
 ///
 /// `max_iterations` is kept as a hard cap. Returns `(iterations
-/// executed, interrupted by the probe)`.
+/// executed, interrupted by run)`.
 #[allow(clippy::too_many_arguments)]
-pub fn shift_until_spread_observed(
+pub fn spread(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
@@ -683,7 +631,7 @@ pub fn shift_until_spread_observed(
     target: f64,
     max_iterations: usize,
     strategy: ShiftStrategy,
-    probe: &mut dyn FnMut(ShiftPassReport) -> ControlFlow<()>,
+    run: &mut StageRun<'_>,
 ) -> (usize, bool) {
     let movable = netlist
         .iter_cells()
@@ -702,14 +650,14 @@ pub fn shift_until_spread_observed(
         let t = std::time::Instant::now();
         let stats = shift_pass_stats(objective, mesh, netlist, chip, target, strategy);
         let density = mesh.max_density();
-        let report = ShiftPassReport {
+        let report = PassEvent::ShiftPass {
             pass: iteration,
             moved: stats.moved,
             max_boundary_delta: stats.max_boundary_delta,
             max_density: density,
             wall_ms: t.elapsed().as_secs_f64() * 1e3,
         };
-        if probe(report).is_break() {
+        if run.pass(report).is_break() {
             return (iteration + 1, true);
         }
         if stats.moved == 0 {
@@ -749,6 +697,7 @@ mod tests {
     use super::*;
     use crate::objective::ObjectiveModel;
     use crate::{Placement, PlacerConfig};
+    use std::ops::ControlFlow;
     use tvp_bookshelf::synth::{generate, SynthConfig};
 
     #[test]
@@ -835,7 +784,7 @@ mod tests {
             let mut objective = IncrementalObjective::new(&netlist, &model, placement);
             let mut mesh = DensityMesh::coarse(&chip);
             mesh.rebuild(&netlist, objective.placement());
-            let iters = shift_until_spread(
+            let iters = spread(
                 &mut objective,
                 &mut mesh,
                 &netlist,
@@ -843,7 +792,9 @@ mod tests {
                 1.10,
                 60,
                 strategy,
-            );
+                &mut StageRun::default(),
+            )
+            .0;
             (mesh.max_density(), iters)
         };
         let (whole_density, _) = spread_with(ShiftStrategy::WholeRow);
@@ -882,7 +833,7 @@ mod tests {
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
         let layer0_before = mesh.layer_area(0);
-        shift_until_spread(
+        spread(
             &mut objective,
             &mut mesh,
             &netlist,
@@ -890,6 +841,7 @@ mod tests {
             1.10,
             40,
             ShiftStrategy::WholeRow,
+            &mut StageRun::default(),
         );
         let layer0_after = mesh.layer_area(0);
         assert!(
@@ -925,7 +877,7 @@ mod tests {
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
         let before = mesh.max_density();
-        let iterations = shift_until_spread(
+        let iterations = spread(
             &mut objective,
             &mut mesh,
             &netlist,
@@ -933,7 +885,9 @@ mod tests {
             1.10,
             100,
             ShiftStrategy::WholeRow,
-        );
+            &mut StageRun::default(),
+        )
+        .0;
         let after = mesh.max_density();
         assert!(iterations > 0);
         assert!(
@@ -1004,7 +958,7 @@ mod tests {
                 let mut objective = IncrementalObjective::new(&netlist, &model, placement.clone());
                 let mut mesh = DensityMesh::coarse(&chip);
                 mesh.rebuild(&netlist, objective.placement());
-                let iters = shift_until_spread(
+                let iters = spread(
                     &mut objective,
                     &mut mesh,
                     &netlist,
@@ -1012,7 +966,9 @@ mod tests {
                     1.10,
                     50,
                     ShiftStrategy::WholeRow,
-                );
+                    &mut StageRun::default(),
+                )
+                .0;
                 (objective.placement().clone(), iters)
             })
         };
@@ -1054,9 +1010,11 @@ mod tests {
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
+        // (pass, moved, max_boundary_delta, max_density, wall_ms) per
+        // reported pass.
         let mut reports = Vec::new();
         let cap = 500;
-        let (iterations, interrupted) = shift_until_spread_observed(
+        let (iterations, interrupted) = spread(
             &mut objective,
             &mut mesh,
             &netlist,
@@ -1064,33 +1022,42 @@ mod tests {
             1.10,
             cap,
             ShiftStrategy::WholeRow,
-            &mut |r| {
-                reports.push(r);
+            &mut StageRun::observed(&mut |event| {
+                if let PassEvent::ShiftPass {
+                    pass,
+                    moved,
+                    max_boundary_delta,
+                    max_density,
+                    wall_ms,
+                } = event
+                {
+                    reports.push((pass, moved, max_boundary_delta, max_density, wall_ms));
+                }
                 ControlFlow::Continue(())
-            },
+            }),
         );
         assert!(!interrupted);
         assert!(iterations < cap, "convergence must beat the {cap} cap");
         assert_eq!(reports.len(), iterations);
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.pass, i);
-            assert!(r.wall_ms >= 0.0);
+        for (i, &(pass, _, _, _, wall_ms)) in reports.iter().enumerate() {
+            assert_eq!(pass, i);
+            assert!(wall_ms >= 0.0);
         }
         // The spread ends for one of its documented reasons: the
         // density target was met, a pass moved nothing, the noise-scale
         // thresholds were crossed, or the peak density stalled for
         // STALL_PATIENCE consecutive passes.
-        let last = reports.last().expect("at least one pass");
+        let &(_, last_moved, last_delta, _, _) = reports.last().expect("at least one pass");
         // Replay the stall detector over the reported densities.
         let mut best = f64::INFINITY;
         let mut run = 0usize;
         let mut stalled = false;
-        for r in &reports {
-            if r.max_density < best * (1.0 - STALL_REL_IMPROVEMENT) {
-                best = r.max_density;
+        for &(_, _, _, density, _) in &reports {
+            if density < best * (1.0 - STALL_REL_IMPROVEMENT) {
+                best = density;
                 run = 0;
             } else {
-                best = best.min(r.max_density);
+                best = best.min(density);
                 run += 1;
                 if run >= STALL_PATIENCE {
                     stalled = true;
@@ -1099,16 +1066,17 @@ mod tests {
         }
         assert!(
             mesh.max_density() <= 1.10
-                || last.moved == 0
-                || last.max_boundary_delta <= CONVERGED_BOUNDARY_DELTA
+                || last_moved == 0
+                || last_delta <= CONVERGED_BOUNDARY_DELTA
                 || stalled,
-            "spread stopped without a reason: {last:?} (max density {})",
+            "spread stopped without a reason: moved {last_moved}, boundary delta \
+             {last_delta} (max density {})",
             mesh.max_density()
         );
         // Every report carries the post-pass peak density for the
         // stall detector and the observer event.
-        for r in &reports {
-            assert!(r.max_density.is_finite() && r.max_density > 0.0);
+        for &(_, _, _, density, _) in &reports {
+            assert!(density.is_finite() && density > 0.0);
         }
     }
 
@@ -1123,7 +1091,7 @@ mod tests {
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
-        let (iterations, interrupted) = shift_until_spread_observed(
+        let (iterations, interrupted) = spread(
             &mut objective,
             &mut mesh,
             &netlist,
@@ -1131,7 +1099,7 @@ mod tests {
             1.10,
             50,
             ShiftStrategy::WholeRow,
-            &mut |_| ControlFlow::Break(()),
+            &mut StageRun::observed(&mut |_| ControlFlow::Break(())),
         );
         assert!(interrupted);
         assert_eq!(iterations, 1, "break stops after the first pass");

@@ -456,10 +456,10 @@ mod tests {
     fn tier_policy_sets_by_site_name() {
         let mut p = ThermalTierPolicy::default();
         assert!(p.set("coarse", ThermalTier::Compact));
-        assert!(p.set("final", ThermalTier::CoarseGrid));
+        assert!(p.set("final", ThermalTier::Compact));
         assert!(!p.set("bogus", ThermalTier::Compact));
         assert_eq!(p.coarse, ThermalTier::Compact);
-        assert_eq!(p.final_eval, ThermalTier::CoarseGrid);
+        assert_eq!(p.final_eval, ThermalTier::Compact);
         assert!(p.uses(ThermalTier::Compact));
 
         let c = PlacerConfig::new(2)

@@ -18,14 +18,13 @@
 mod refine;
 mod row;
 
-pub(crate) use refine::refine_legal_priced;
-pub use refine::{refine_legal, refine_legal_observed, RefineStats};
+pub use refine::{refine, refine_legal, RefineStats};
 pub use row::{InsertionQuote, RowPacker};
 
+use crate::engine::StageRun;
 use crate::objective::IncrementalObjective;
 use crate::observer::PassEvent;
 use crate::Chip;
-use std::ops::ControlFlow;
 use tvp_netlist::{CellId, Netlist};
 
 /// Outcome statistics of detailed legalization.
@@ -41,35 +40,39 @@ pub struct LegalizeStats {
     pub layer_changes: usize,
 }
 
-/// Legalizes the placement into rows. All movable cells end on row
-/// centers with no overlaps; fixed cells are left untouched.
-///
-/// `row_window` is the number of rows above/below the target row tried
-/// before the window expands.
+/// perfbench's replay surface (`perfbench/src/place.rs` calls it by
+/// name, so its name and signature stay): [`legalize`] with an
+/// unobserved run. Library code calls [`legalize`].
 pub fn detail_legalize(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
     row_window: usize,
 ) -> LegalizeStats {
-    detail_legalize_observed(objective, netlist, chip, row_window, &mut |_| {
-        ControlFlow::Continue(())
-    })
+    legalize(
+        objective,
+        netlist,
+        chip,
+        row_window,
+        &mut StageRun::default(),
+    )
 }
 
-/// [`detail_legalize`] with a probe receiving one
-/// [`PassEvent::DetailRows`] per packed layer.
+/// Legalizes the placement into rows. All movable cells end on row
+/// centers with no overlaps; fixed cells are left untouched.
 ///
-/// Unlike the coarse and refinement probes, this one cannot interrupt the
-/// stage: a partially legalized placement is worse than useless, so
-/// legalization always runs to completion and `Break` is ignored. The
-/// probe never changes what the stage does.
-pub fn detail_legalize_observed(
+/// `row_window` is the number of rows above/below the target row tried
+/// before the window expands. `run` receives one
+/// [`PassEvent::DetailRows`] per packed layer, but unlike the coarse and
+/// refinement passes it cannot interrupt this stage: a partially
+/// legalized placement is worse than useless, so legalization always
+/// runs to completion and `Break` is ignored.
+pub fn legalize(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
     row_window: usize,
-    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
+    run: &mut StageRun<'_>,
 ) -> LegalizeStats {
     let num_layers = chip.num_layers;
     let num_rows = chip.num_rows;
@@ -281,7 +284,7 @@ pub fn detail_legalize_observed(
         }
         // Legalization must complete whatever the probe answers; a `Break`
         // here is simply noticed later at the stage boundary.
-        let _ = probe(PassEvent::DetailRows {
+        let _ = run.pass(PassEvent::DetailRows {
             layer,
             rows: layer_rows_used,
             cells: layer_cells,
@@ -343,8 +346,6 @@ pub fn check_legal(netlist: &Netlist, chip: &Chip, placement: &crate::Placement)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::coarse_legalize;
-    use crate::global::global_place;
     use crate::objective::ObjectiveModel;
     use crate::{Placement, PlacerConfig};
     use tvp_bookshelf::synth::{generate, SynthConfig};
@@ -364,11 +365,19 @@ mod tests {
         let config = PlacerConfig::new(layers);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let run = &mut StageRun::default();
+        let (placement, _) =
+            crate::global::place(&netlist, &chip, &model, &config, &[], false, run);
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
-        coarse_legalize(&mut objective, &netlist, &chip, &config);
+        crate::coarse::legalize(&mut objective, &netlist, &chip, &config, run);
         let before = objective.total();
-        let stats = detail_legalize(&mut objective, &netlist, &chip, config.detail_row_window);
+        let stats = legalize(
+            &mut objective,
+            &netlist,
+            &chip,
+            config.detail_row_window,
+            run,
+        );
         let placement = objective.placement().clone();
         (netlist, chip, config, before, stats, placement)
     }

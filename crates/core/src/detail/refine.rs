@@ -12,11 +12,11 @@
 //! 3. **Gap hop** — move a cell into a free gap of a nearby row (same or
 //!    adjacent layer) when the gap fits it.
 
+use crate::engine::StageRun;
 use crate::objective::{CellMove, IncrementalObjective};
 use crate::observer::PassEvent;
 use crate::thermal_pricer::ThermalMovePricer;
 use crate::Chip;
-use std::ops::ControlFlow;
 use tvp_netlist::{CellId, Netlist};
 
 /// Row occupancy built from a legal placement: cells sorted by x per
@@ -77,49 +77,33 @@ pub struct RefineStats {
     pub improvement: f64,
 }
 
-/// Runs `passes` rounds of legality-preserving refinement. The placement
-/// stays fully legal after every individual move.
+/// perfbench's replay surface (`perfbench/src/place.rs` calls it by
+/// name, so its name and signature stay): [`refine`] with an unobserved
+/// run. Library code calls [`refine`].
 pub fn refine_legal(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
     passes: usize,
 ) -> RefineStats {
-    let (stats, _interrupted) =
-        refine_legal_observed(objective, netlist, chip, passes, &mut |_| {
-            ControlFlow::Continue(())
-        });
-    stats
+    refine(objective, netlist, chip, passes, &mut StageRun::default()).0
 }
 
-/// [`refine_legal`] with a pass-boundary probe: after every pass the probe
-/// receives a [`PassEvent::RefinePass`] and may return
-/// [`ControlFlow::Break`] to stop refinement there. Every move preserves
-/// legality, so stopping between passes is always safe.
+/// Runs `passes` rounds of legality-preserving refinement. The placement
+/// stays fully legal after every individual move.
 ///
-/// Returns the stats plus whether refinement was interrupted. The probe
-/// never changes the moves made.
-pub fn refine_legal_observed(
+/// After every pass `run` receives a [`PassEvent::RefinePass`] and may
+/// stop refinement there; every move preserves legality, so stopping
+/// between passes is always safe. An armed pricer (compact tier +
+/// `alpha_temp > 0`) adds the frozen-field thermal term to every slide
+/// and swap candidate's delta (DESIGN.md §14). Returns the stats plus
+/// whether refinement was interrupted.
+pub fn refine(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
     passes: usize,
-    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
-) -> (RefineStats, bool) {
-    refine_legal_priced(objective, netlist, chip, passes, None, probe)
-}
-
-/// [`refine_legal_observed`] with optional per-move thermal pricing: an
-/// armed pricer (compact tier + `alpha_temp > 0`) adds the frozen-field
-/// thermal term to every slide and swap candidate's delta
-/// (DESIGN.md §14). `None` is bit-identical to the unpriced refinement.
-pub(crate) fn refine_legal_priced(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    passes: usize,
-    mut pricer: Option<&mut ThermalMovePricer>,
-    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
+    run: &mut StageRun<'_>,
 ) -> (RefineStats, bool) {
     const EPS: f64 = 1e-18;
     let mut stats = RefineStats::default();
@@ -131,15 +115,16 @@ pub(crate) fn refine_legal_priced(
             chip,
             &mut rows,
             &mut stats,
-            pricer.as_deref_mut(),
+            run.pricer.as_deref_mut(),
         );
         stats.improvement += before_pass - objective.total();
         let converged = !round_improved || stats.improvement < EPS;
-        if probe(PassEvent::RefinePass {
-            pass,
-            improvement: stats.improvement,
-        })
-        .is_break()
+        if run
+            .pass(PassEvent::RefinePass {
+                pass,
+                improvement: stats.improvement,
+            })
+            .is_break()
         {
             // Interruption at convergence is indistinguishable from a
             // natural finish; only report it when work remained.
@@ -264,9 +249,7 @@ fn refine_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::coarse_legalize;
-    use crate::detail::{check_legal, detail_legalize};
-    use crate::global::global_place;
+    use crate::detail::{check_legal, legalize};
     use crate::objective::ObjectiveModel;
     use crate::{Placer, PlacerConfig};
     use tvp_bookshelf::synth::{generate, SynthConfig};
@@ -277,14 +260,22 @@ mod tests {
         let config = PlacerConfig::new(2);
         let chip = crate::Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let run = &mut StageRun::default();
+        let (placement, _) =
+            crate::global::place(&netlist, &chip, &model, &config, &[], false, run);
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
-        coarse_legalize(&mut objective, &netlist, &chip, &config);
-        detail_legalize(&mut objective, &netlist, &chip, config.detail_row_window);
+        crate::coarse::legalize(&mut objective, &netlist, &chip, &config, run);
+        legalize(
+            &mut objective,
+            &netlist,
+            &chip,
+            config.detail_row_window,
+            run,
+        );
         assert_eq!(check_legal(&netlist, &chip, objective.placement()), None);
 
         let before = objective.total();
-        let stats = refine_legal(&mut objective, &netlist, &chip, 3);
+        let (stats, _) = refine(&mut objective, &netlist, &chip, 3, run);
         let after = objective.total();
 
         assert!(after <= before + 1e-12, "refinement must not regress");
@@ -312,9 +303,10 @@ mod tests {
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let mut objective = IncrementalObjective::new(&netlist, &model, result.placement.clone());
         // Run to convergence, then one more round must do ~nothing.
-        refine_legal(&mut objective, &netlist, &chip, 20);
+        let run = &mut StageRun::default();
+        refine(&mut objective, &netlist, &chip, 20, run);
         let settled = objective.total();
-        let stats = refine_legal(&mut objective, &netlist, &chip, 1);
+        let (stats, _) = refine(&mut objective, &netlist, &chip, 1, run);
         assert!(
             (objective.total() - settled).abs() <= 1e-9 * settled.max(1e-12),
             "converged placement must be stable (extra improvement {})",

@@ -1,13 +1,14 @@
-//! The stage engine: the §6 pipeline as a data-driven stage sequence
+//! The stage engine: the §6 pipeline as a data-driven stage plan
 //! executed by an observable, cancellable, resumable driver (DESIGN.md
 //! §9).
 //!
-//! A [`Stage`] transforms the placement held by a shared
-//! [`PlacerContext`]; the driver owns everything cross-cutting: event
-//! emission ([`PlacerObserver`]), stop conditions (cancellation token +
-//! time budget, checked at stage/pass boundaries), per-stage timing
-//! (including per-round breakdown), thermal snapshots through one
-//! warm-started CG context, and stage-boundary checkpoints.
+//! A plan is a list of [`StageKind`]s. The driver runs each stage through
+//! its one entry point, handing it a [`StageRun`] (pass-event probe,
+//! mid-kernel stop, thermal move pricer), and owns everything
+//! cross-cutting: event emission ([`PlacerObserver`]), stop conditions
+//! (cancellation token + time budget, checked at stage/pass boundaries),
+//! per-stage timing (including per-round breakdown), thermal snapshots
+//! through one warm-started CG context, and stage-boundary checkpoints.
 //!
 //! The default plan is `global`, then `coarse[r]`/`detail[r]` for round
 //! `r` in `0..=post_opt_rounds`. With no observer, budget, or
@@ -16,24 +17,21 @@
 //! pre-engine pipeline.
 
 use crate::checkpoint::{self, CheckpointLoad};
-use crate::coarse::coarse_legalize_priced;
 use crate::config::ThermalTierPolicy;
 use crate::control::StopCheck;
-use crate::detail::{
-    check_legal, detail_legalize, detail_legalize_observed, refine_legal, refine_legal_priced,
-    LegalizeStats,
-};
+use crate::detail::{check_legal, LegalizeStats};
 use crate::faults::{Degradation, FaultKind, FaultPlan};
 use crate::metrics::{self, ThermalGuard};
 use crate::objective::{IncrementalObjective, ObjectiveModel};
 use crate::observer::{NopObserver, PassEvent, PlacerEvent, PlacerObserver};
 use crate::placer::{PlaceOptions, PlacementResult, RoundTiming, StageTimings, ThermalSnapshot};
 use crate::thermal_pricer::ThermalMovePricer;
-use crate::{Chip, PlaceError, Placement, PlacerConfig};
+use crate::{coarse, detail, global, Chip, PlaceError, Placement, PlacerConfig};
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use tvp_netlist::{CellId, Netlist};
+use tvp_partition::StopFn;
 use tvp_thermal::{
     CompactModel, GridOracle, TemperatureField, ThermalOracle, ThermalSimulator, ThermalTier,
 };
@@ -44,8 +42,9 @@ use tvp_thermal::{
 /// are never affected.
 pub const SLOW_STAGE_DELAY: Duration = Duration::from_millis(250);
 
-/// Which part of the §6 pipeline a stage implements. The driver uses the
-/// kind to route timings (totals + per-round) and thermal snapshots.
+/// Which part of the §6 pipeline a stage implements. A plan is a list of
+/// kinds; the driver runs each through one `match` and uses the kind to
+/// route timings (totals + per-round) and thermal snapshots.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StageKind {
     /// Recursive-bisection global placement.
@@ -63,38 +62,82 @@ pub enum StageKind {
     },
 }
 
-/// How a stage ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StageStatus {
-    /// The stage ran to completion.
-    Completed,
-    /// The stage stopped early at a cancellation point. The driver stops
-    /// the pipeline (after restoring legality if needed).
-    Interrupted,
+impl StageKind {
+    /// Display name, unique within a plan (e.g. `coarse[1]`).
+    pub fn name(self) -> String {
+        match self {
+            StageKind::Global => "global".to_string(),
+            StageKind::Coarse { round } => format!("coarse[{round}]"),
+            StageKind::Detail { round } => format!("detail[{round}]"),
+        }
+    }
 }
 
-/// Everything a stage may read or transform, shared across the pipeline.
-pub struct PlacerContext<'a> {
-    /// The netlist being placed.
-    pub netlist: &'a Netlist,
-    /// Chip geometry derived from the netlist and configuration.
-    pub chip: &'a Chip,
-    /// The run's configuration.
-    pub config: &'a PlacerConfig,
-    /// Static objective model (coefficients, power, resistance).
-    pub model: &'a ObjectiveModel,
+/// The cross-cutting inputs of one stage run: everything a stage entry
+/// point ([`global::place`], [`coarse::legalize`], [`detail::legalize`],
+/// [`detail::refine`], and the coarse sub-passes
+/// [`shift::spread`](crate::coarse::shift::spread),
+/// [`moves::local_pass`](crate::coarse::moves::local_pass) and
+/// [`moves::global_pass`](crate::coarse::moves::global_pass)) needs
+/// besides the placement it transforms. The probe and the stop never
+/// change the moves a stage makes, only where it stops; the pricer adds
+/// its thermal term to every candidate's price.
+///
+/// `StageRun::default()` is unobserved, never stops early, and prices
+/// moves by the objective alone.
+#[derive(Default)]
+pub struct StageRun<'r> {
+    /// Receives each pass-boundary [`PassEvent`]; its answer is the
+    /// cancellation poll — [`ControlFlow::Break`] asks the stage to stop
+    /// at that boundary. `None` continues everywhere.
+    pub(crate) probe: Option<&'r mut dyn FnMut(PassEvent) -> ControlFlow<()>>,
+    /// The mid-kernel stop the bisection kernels poll between and inside
+    /// FM passes. `None` when no stop condition is armed, so the hot
+    /// loops skip the poll entirely.
+    pub(crate) stop: Option<&'r StopFn>,
+    /// Per-move thermal pricer, present only when the stage's tier is
+    /// [`ThermalTier::Compact`] and `alpha_temp > 0` (DESIGN.md §14).
+    pub(crate) pricer: Option<&'r mut ThermalMovePricer>,
+}
+
+impl<'r> StageRun<'r> {
+    /// A run that reports every pass-boundary event to `probe` and stops
+    /// the stage at the first boundary where it returns `Break`.
+    pub fn observed(probe: &'r mut dyn FnMut(PassEvent) -> ControlFlow<()>) -> Self {
+        Self {
+            probe: Some(probe),
+            ..Self::default()
+        }
+    }
+
+    /// Reports one pass-boundary event and returns the probe's
+    /// cancellation answer.
+    pub(crate) fn pass(&mut self, event: PassEvent) -> ControlFlow<()> {
+        match self.probe.as_mut() {
+            Some(probe) => probe(event),
+            None => ControlFlow::Continue(()),
+        }
+    }
+}
+
+/// Everything the driver threads through the stages of one run.
+struct PlacerContext<'a> {
+    netlist: &'a Netlist,
+    chip: &'a Chip,
+    config: &'a PlacerConfig,
+    model: &'a ObjectiveModel,
     /// The placement under construction, behind its incremental
     /// objective evaluator.
-    pub objective: IncrementalObjective<'a>,
+    objective: IncrementalObjective<'a>,
     /// Fixed-cell seeds (pads, macros) for global placement.
-    pub fixed_positions: &'a [(CellId, f64, f64, u16)],
+    fixed_positions: &'a [(CellId, f64, f64, u16)],
     /// Statistics of the most recent detailed legalization.
-    pub legalize: LegalizeStats,
+    legalize: LegalizeStats,
     /// Whether the current placement is row-legal (true right after a
     /// detail stage).
-    pub legal: bool,
-    /// Per-move thermal pricer, present only when a stage's tier is
-    /// [`ThermalTier::Compact`] and `alpha_temp > 0` (DESIGN.md §14).
+    legal: bool,
+    /// The compact-tier move pricer, built only when some legalization
+    /// tier is compact and `alpha_temp > 0`.
     pricer: Option<ThermalMovePricer>,
     /// The run's fault plan, if one was attached (consumed as it fires).
     faults: Option<FaultPlan>,
@@ -109,7 +152,7 @@ impl PlacerContext<'_> {
     /// Whether the attached [`FaultPlan`] wants fault `kind` injected at
     /// `site` (always `false` without a plan). A firing fault is reported
     /// to the observer as [`PlacerEvent::FaultInjected`].
-    pub fn fire_fault(&mut self, kind: FaultKind, site: &str) -> bool {
+    fn fire_fault(&mut self, kind: FaultKind, site: &str) -> bool {
         let fired = self
             .faults
             .as_mut()
@@ -124,19 +167,14 @@ impl PlacerContext<'_> {
     }
 
     /// Records one graceful degradation: it lands in
-    /// [`PlacementResult::degradations`](crate::PlacementResult) and is
-    /// reported to the observer as [`PlacerEvent::Degraded`].
-    pub fn record_degradation(&mut self, degradation: Degradation) {
+    /// [`PlacementResult::degradations`] and is reported to the observer
+    /// as [`PlacerEvent::Degraded`].
+    fn record_degradation(&mut self, degradation: Degradation) {
         self.pending_events.push(PlacerEvent::Degraded {
             kind: degradation.kind().to_string(),
             detail: degradation.detail(),
         });
         self.degradations.push(degradation);
-    }
-
-    /// Degradations recorded so far, in order.
-    pub fn degradations(&self) -> &[Degradation] {
-        &self.degradations
     }
 }
 
@@ -151,234 +189,132 @@ fn flush_events(ctx: &mut PlacerContext<'_>, observer: &mut dyn PlacerObserver) 
     }
 }
 
-/// The driver-provided handle a stage reports progress through. Each
-/// [`pass`](Self::pass) call is also a cancellation point: a
-/// [`ControlFlow::Break`] return asks the stage to stop at this boundary
-/// and return [`StageStatus::Interrupted`].
-pub struct StageMonitor<'m> {
-    observer: &'m mut (dyn PlacerObserver + 'm),
-    stop: &'m StopCheck,
-    index: usize,
-    stage: &'m str,
-}
-
-impl StageMonitor<'_> {
-    /// Reports one pass-boundary event and polls the stop conditions.
-    pub fn pass(&mut self, pass: PassEvent) -> ControlFlow<()> {
-        if self.observer.enabled() {
-            self.observer.event(&PlacerEvent::Pass {
-                index: self.index,
-                stage: self.stage.to_string(),
-                pass,
-            });
-        }
-        if self.stop.should_stop() {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    }
-
-    /// A clone of the run's stop conditions for stages that hand
-    /// cancellation down into parallel kernels, or `None` when no stop
-    /// condition is armed (the kernels then skip polling entirely).
-    pub(crate) fn armed_stop(&self) -> Option<StopCheck> {
-        self.stop.is_armed().then(|| self.stop.clone())
-    }
-}
-
-/// One pipeline stage. Implementations transform `ctx.objective` and
-/// report progress (and honor cancellation) through the monitor.
-pub trait Stage {
-    /// Display name, unique within a plan (e.g. `coarse[1]`).
-    fn name(&self) -> String;
-
-    /// The stage's pipeline role.
-    fn kind(&self) -> StageKind;
-
-    /// Runs the stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlaceError`] only for non-recoverable failures;
-    /// cancellation is *not* an error (return
-    /// [`StageStatus::Interrupted`]).
-    fn run(
-        &self,
-        ctx: &mut PlacerContext<'_>,
-        monitor: &mut StageMonitor<'_>,
-    ) -> Result<StageStatus, PlaceError>;
-}
-
-/// Recursive-bisection global placement (§3).
-struct GlobalStage;
-
-impl Stage for GlobalStage {
-    fn name(&self) -> String {
-        "global".to_string()
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Global
-    }
-
-    fn run(
-        &self,
-        ctx: &mut PlacerContext<'_>,
-        monitor: &mut StageMonitor<'_>,
-    ) -> Result<StageStatus, PlaceError> {
-        // The imbalance fault targets the root bisection only: level 0
-        // has exactly one region, so the injection is deterministic under
-        // any thread count.
-        let inject = ctx.fire_fault(FaultKind::PartitionImbalance, "global");
-        // Hand the run's stop conditions down into the bisection kernels:
-        // an expired time budget or a cancelled token is then noticed
-        // mid-FM-pass (every ~1k heap pops) instead of only at the stage
-        // boundary. Unarmed runs pass `None`, keeping the hot loops
-        // poll-free and the placement bitwise identical to history.
-        let armed = monitor.armed_stop();
-        let stop_fn = armed.map(|check| move || check.should_stop());
-        let interrupted;
-        let (placement, stats) = {
-            let stop: Option<&(dyn Fn() -> bool + Sync)> =
-                stop_fn.as_ref().map(|f| f as &(dyn Fn() -> bool + Sync));
-            let out = crate::global::global_place_with_fixed_stats_stop(
+/// Runs one stage of the plan through its entry point. Returns whether
+/// the stage stopped early at a cancellation point; the driver then
+/// stops the pipeline (after restoring legality if needed).
+///
+/// # Errors
+///
+/// [`PlaceError`] only for non-recoverable failures; cancellation is not
+/// an error.
+fn run_stage(
+    kind: StageKind,
+    ctx: &mut PlacerContext<'_>,
+    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
+    stop: Option<&StopFn>,
+) -> Result<bool, PlaceError> {
+    let mut run = StageRun {
+        probe: Some(probe),
+        stop,
+        pricer: None,
+    };
+    match kind {
+        StageKind::Global => {
+            // The imbalance fault targets the root bisection only: level 0
+            // has exactly one region, so the injection is deterministic
+            // under any thread count.
+            let inject = ctx.fire_fault(FaultKind::PartitionImbalance, "global");
+            let (placement, stats) = global::place(
                 ctx.netlist,
                 ctx.chip,
                 ctx.model,
                 ctx.config,
                 ctx.fixed_positions,
                 inject,
-                stop,
+                &mut run,
             );
-            interrupted = stop.is_some_and(|s| s());
-            out
-        };
-        if stats.partition_retries > 0 {
-            ctx.record_degradation(Degradation::PartitionRetried {
-                retries: stats.partition_retries,
-            });
-        }
-        ctx.objective = IncrementalObjective::new(ctx.netlist, ctx.model, placement);
-        ctx.legal = false;
-        Ok(if interrupted {
-            StageStatus::Interrupted
-        } else {
-            StageStatus::Completed
-        })
-    }
-}
-
-/// Coarse legalization (§4): moves/swaps + cell shifting.
-struct CoarseStage {
-    round: usize,
-}
-
-impl Stage for CoarseStage {
-    fn name(&self) -> String {
-        format!("coarse[{}]", self.round)
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Coarse { round: self.round }
-    }
-
-    fn run(
-        &self,
-        ctx: &mut PlacerContext<'_>,
-        monitor: &mut StageMonitor<'_>,
-    ) -> Result<StageStatus, PlaceError> {
-        ctx.legal = false;
-        // Arm per-move thermal pricing for this stage when its tier is
-        // compact: the frozen field is re-grounded on the placement the
-        // stage starts from.
-        let priced = ctx.config.thermal_tiers.coarse == ThermalTier::Compact;
-        if priced {
-            if let Some(pricer) = ctx.pricer.as_mut() {
-                pricer.refresh(ctx.netlist, ctx.chip, ctx.model, &ctx.objective)?;
+            let interrupted = stop.is_some_and(|stop| stop());
+            if stats.partition_retries > 0 {
+                ctx.record_degradation(Degradation::PartitionRetried {
+                    retries: stats.partition_retries,
+                });
             }
+            ctx.objective = IncrementalObjective::new(ctx.netlist, ctx.model, placement);
+            ctx.legal = false;
+            Ok(interrupted)
         }
-        let (_, interrupted) = coarse_legalize_priced(
-            &mut ctx.objective,
-            ctx.netlist,
-            ctx.chip,
-            ctx.config,
-            if priced { ctx.pricer.as_mut() } else { None },
-            &mut |p| monitor.pass(p),
-        );
-        Ok(if interrupted {
-            StageStatus::Interrupted
-        } else {
-            StageStatus::Completed
-        })
+        StageKind::Coarse { .. } => {
+            ctx.legal = false;
+            // The frozen field is re-grounded on the placement the stage
+            // starts from.
+            run.pricer = refreshed_pricer(
+                &mut ctx.pricer,
+                ctx.config.thermal_tiers.coarse,
+                ctx.netlist,
+                ctx.chip,
+                ctx.model,
+                &ctx.objective,
+            )?;
+            let (_, interrupted) = coarse::legalize(
+                &mut ctx.objective,
+                ctx.netlist,
+                ctx.chip,
+                ctx.config,
+                &mut run,
+            );
+            Ok(interrupted)
+        }
+        StageKind::Detail { .. } => {
+            // Legalization itself never stops early: it is the step that
+            // *creates* the legality every graceful stop relies on.
+            ctx.legalize = detail::legalize(
+                &mut ctx.objective,
+                ctx.netlist,
+                ctx.chip,
+                ctx.config.detail_row_window,
+                &mut run,
+            );
+            ctx.legal = true;
+            // Refinement's field is refreshed *after* legalization,
+            // because snapping moved every cell.
+            run.pricer = refreshed_pricer(
+                &mut ctx.pricer,
+                ctx.config.thermal_tiers.detail,
+                ctx.netlist,
+                ctx.chip,
+                ctx.model,
+                &ctx.objective,
+            )?;
+            let (_, interrupted) = detail::refine(
+                &mut ctx.objective,
+                ctx.netlist,
+                ctx.chip,
+                ctx.config.legal_refine_passes,
+                &mut run,
+            );
+            Ok(interrupted)
+        }
     }
 }
 
-/// Detailed legalization (§5) plus legality-preserving refinement.
-struct DetailStage {
-    round: usize,
-}
-
-impl Stage for DetailStage {
-    fn name(&self) -> String {
-        format!("detail[{}]", self.round)
-    }
-
-    fn kind(&self) -> StageKind {
-        StageKind::Detail { round: self.round }
-    }
-
-    fn run(
-        &self,
-        ctx: &mut PlacerContext<'_>,
-        monitor: &mut StageMonitor<'_>,
-    ) -> Result<StageStatus, PlaceError> {
-        // Legalization itself never stops early: it is the step that
-        // *creates* the legality every graceful stop relies on.
-        ctx.legalize = detail_legalize_observed(
-            &mut ctx.objective,
-            ctx.netlist,
-            ctx.chip,
-            ctx.config.detail_row_window,
-            &mut |p| monitor.pass(p),
-        );
-        ctx.legal = true;
-        // Refinement prices moves thermally when the detail tier is
-        // compact; the field is refreshed *after* legalization because
-        // snapping moved every cell.
-        let priced = ctx.config.thermal_tiers.detail == ThermalTier::Compact;
-        if priced {
-            if let Some(pricer) = ctx.pricer.as_mut() {
-                pricer.refresh(ctx.netlist, ctx.chip, ctx.model, &ctx.objective)?;
-            }
+/// The run's move pricer, re-grounded on the current placement, when the
+/// stage's `tier` is compact and a pricer exists; `None` otherwise.
+fn refreshed_pricer<'p>(
+    pricer: &'p mut Option<ThermalMovePricer>,
+    tier: ThermalTier,
+    netlist: &Netlist,
+    chip: &Chip,
+    model: &ObjectiveModel,
+    objective: &IncrementalObjective<'_>,
+) -> Result<Option<&'p mut ThermalMovePricer>, PlaceError> {
+    match pricer {
+        Some(pricer) if tier == ThermalTier::Compact => {
+            pricer.refresh(netlist, chip, model, objective)?;
+            Ok(Some(pricer))
         }
-        let (_, interrupted) = refine_legal_priced(
-            &mut ctx.objective,
-            ctx.netlist,
-            ctx.chip,
-            ctx.config.legal_refine_passes,
-            if priced { ctx.pricer.as_mut() } else { None },
-            &mut |p| monitor.pass(p),
-        );
-        Ok(if interrupted {
-            StageStatus::Interrupted
-        } else {
-            StageStatus::Completed
-        })
+        _ => Ok(None),
     }
 }
 
 /// The run's thermal-oracle bank (DESIGN.md §14): one oracle per tier
 /// the configured [`ThermalTierPolicy`] actually uses. The full-grid
-/// oracle always exists — it is the default tier, the fallback for
-/// unbuilt tiers, and the reference every cross-model error is measured
-/// against. Coarse-grid and compact oracles are built only on demand, so
-/// the default (all-full-grid) policy constructs exactly the historical
-/// simulator + context pair and nothing else.
+/// oracle always exists — it is the default tier and the reference every
+/// cross-model error is measured against. The compact model is fitted
+/// only on demand, so the default (all-full-grid) policy constructs
+/// exactly the historical simulator + context pair and nothing else.
 struct ThermalOracles {
     tiers: ThermalTierPolicy,
     full: GridOracle,
-    coarse: Option<GridOracle>,
     compact: Option<CompactModel>,
 }
 
@@ -398,12 +334,6 @@ impl ThermalOracles {
             None => ThermalSimulator::new(chip.stack, chip.width, chip.depth, nx, ny),
         };
         let full = GridOracle::full_grid(make_sim(nx, ny)?, config.thermal_precond);
-        let coarse = if tiers.uses(ThermalTier::CoarseGrid) {
-            let sim = make_sim((nx / 2).max(2), (ny / 2).max(2))?;
-            Some(GridOracle::coarse_grid(sim, config.thermal_precond))
-        } else {
-            None
-        };
         let compact = if tiers.uses(ThermalTier::Compact) {
             // The compact model is fitted in-tree against the multigrid
             // solver at a bounded resolution: kernel superposition is
@@ -418,7 +348,6 @@ impl ThermalOracles {
         Ok(Self {
             tiers,
             full,
-            coarse,
             compact,
         })
     }
@@ -432,34 +361,23 @@ impl ThermalOracles {
         }
     }
 
-    /// The oracle for `tier`, falling back to full-grid when the tier
-    /// was not built (the policy never requested it).
+    /// The oracle for `tier`, falling back to full-grid when the compact
+    /// model was not built (the policy never requested it).
     fn oracle(&mut self, tier: ThermalTier) -> &mut dyn ThermalOracle {
-        match tier {
-            ThermalTier::CoarseGrid => {
-                if let Some(coarse) = self.coarse.as_mut() {
-                    return coarse;
-                }
-                &mut self.full
-            }
-            ThermalTier::Compact => {
-                if let Some(compact) = self.compact.as_mut() {
-                    return compact;
-                }
-                &mut self.full
-            }
-            ThermalTier::FullGrid => &mut self.full,
+        match (tier, self.compact.as_mut()) {
+            (ThermalTier::Compact, Some(compact)) => compact,
+            _ => &mut self.full,
         }
     }
 }
 
 /// Builds the default §6 stage plan for a configuration: `global`, then
 /// one `coarse`/`detail` pair per optimization round.
-pub fn default_stage_plan(config: &PlacerConfig) -> Vec<Box<dyn Stage>> {
-    let mut stages: Vec<Box<dyn Stage>> = vec![Box::new(GlobalStage)];
+pub fn default_stage_plan(config: &PlacerConfig) -> Vec<StageKind> {
+    let mut stages = vec![StageKind::Global];
     for round in 0..config.rounds() {
-        stages.push(Box::new(CoarseStage { round }));
-        stages.push(Box::new(DetailStage { round }));
+        stages.push(StageKind::Coarse { round });
+        stages.push(StageKind::Detail { round });
     }
     stages
 }
@@ -478,9 +396,8 @@ pub(crate) fn run_pipeline(
     // One oracle bank for every thermal evaluation of this run: the
     // full-grid oracle owns the historical simulator + warm-started CG
     // context (the preconditioner hierarchy is built once, and each
-    // stage's solve warm-starts from the previous stage's field);
-    // coarse-grid and compact oracles exist only when the tier policy
-    // queries them.
+    // stage's solve warm-starts from the previous stage's field); the
+    // compact model exists only when the tier policy queries it.
     let mut oracles = ThermalOracles::build(config, &chip)?;
     let pricer = if config.alpha_temp > 0.0
         && (config.thermal_tiers.coarse == ThermalTier::Compact
@@ -498,6 +415,14 @@ pub(crate) fn run_pipeline(
     let stages = default_stage_plan(config);
     let stage_names: Vec<String> = stages.iter().map(|s| s.name()).collect();
     let stop = StopCheck::new(options.cancel.clone(), options.time_budget);
+    // Stages that hand cancellation down into parallel kernels poll this;
+    // unarmed runs pass `None`, keeping the hot loops poll-free and the
+    // placement bitwise identical to history.
+    let poll_stop = {
+        let stop = stop.clone();
+        move || stop.should_stop()
+    };
+    let kernel_stop: Option<&StopFn> = stop.is_armed().then_some(&poll_stop);
 
     let mut nop = NopObserver;
     let observer: &mut dyn PlacerObserver = match options.observer.as_deref_mut() {
@@ -515,7 +440,7 @@ pub(crate) fn run_pipeline(
     };
     let fresh = || (Placement::centered(netlist.num_cells(), &chip), None, false);
     let mut quarantined_note = None;
-    let (initial_placement, resumed_index, mut legal) = match load {
+    let (initial_placement, resumed_index, legal) = match load {
         CheckpointLoad::Resume(r) => (r.placement, Some(r.stage_index), r.legal),
         CheckpointLoad::Fresh => fresh(),
         CheckpointLoad::Quarantined {
@@ -536,13 +461,12 @@ pub(crate) fn run_pipeline(
         objective: IncrementalObjective::new(netlist, &model, initial_placement),
         fixed_positions,
         legalize: LegalizeStats::default(),
-        legal: false,
+        legal,
         pricer,
         faults: options.faults.take(),
         degradations: Vec::new(),
         pending_events: Vec::new(),
     };
-    ctx.legal = legal;
 
     if observer.enabled() {
         observer.event(&PlacerEvent::RunBegin {
@@ -569,7 +493,7 @@ pub(crate) fn run_pipeline(
     let mut timings = StageTimings::default();
     let mut stopped_early = false;
 
-    for (index, stage) in stages.iter().enumerate() {
+    for (index, &kind) in stages.iter().enumerate() {
         let name = &stage_names[index];
         if resumed_index.is_some_and(|r| index <= r) {
             if observer.enabled() {
@@ -599,14 +523,24 @@ pub(crate) fn run_pipeline(
             std::thread::sleep(SLOW_STAGE_DELAY);
         }
         let t = Instant::now();
-        let status = {
-            let mut monitor = StageMonitor {
-                observer,
-                stop: &stop,
-                index,
-                stage: name,
+        let interrupted = {
+            // Each pass boundary is reported and is also a cancellation
+            // point.
+            let mut probe = |pass: PassEvent| {
+                if observer.enabled() {
+                    observer.event(&PlacerEvent::Pass {
+                        index,
+                        stage: name.clone(),
+                        pass,
+                    });
+                }
+                if stop.should_stop() {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
             };
-            stage.run(&mut ctx, &mut monitor)?
+            run_stage(kind, &mut ctx, &mut probe, kernel_stop)?
         };
         flush_events(&mut ctx, observer);
         let elapsed = t.elapsed();
@@ -615,7 +549,7 @@ pub(crate) fn run_pipeline(
         // move sequence never compounds into the next stage (outside the
         // timed region — this is bookkeeping, not stage work).
         ctx.objective.resync_total();
-        match stage.kind() {
+        match kind {
             StageKind::Global => timings.global += elapsed,
             StageKind::Coarse { round } => {
                 timings.coarse += elapsed;
@@ -632,13 +566,13 @@ pub(crate) fn run_pipeline(
                 stage: name.clone(),
                 seconds: elapsed.as_secs_f64(),
                 objective: ctx.objective.total(),
-                interrupted: status == StageStatus::Interrupted,
+                interrupted,
             });
         }
 
         // Thermal snapshots at the historical boundaries: after global
         // placement and after the first coarse round.
-        let snapshot_label = match stage.kind() {
+        let snapshot_label = match kind {
             StageKind::Global => Some("global"),
             StageKind::Coarse { round: 0 } => Some("coarse"),
             _ => None,
@@ -648,7 +582,7 @@ pub(crate) fn run_pipeline(
             flush_events(&mut ctx, observer);
         }
 
-        if status == StageStatus::Interrupted {
+        if interrupted {
             stopped_early = true;
             break;
         }
@@ -692,12 +626,10 @@ pub(crate) fn run_pipeline(
             }
         }
     }
-    legal = ctx.legal;
-
     // A graceful stop must still hand back a legal placement: if the
     // pipeline stopped before (or inside) a legalizing stage, run one
     // uncancellable detail pass over the best placement we have.
-    if stopped_early && !legal {
+    if stopped_early && !ctx.legal {
         let index = stages.len();
         if observer.enabled() {
             observer.event(&PlacerEvent::StageBegin {
@@ -706,13 +638,20 @@ pub(crate) fn run_pipeline(
             });
         }
         let t = Instant::now();
-        ctx.legalize =
-            detail_legalize(&mut ctx.objective, netlist, &chip, config.detail_row_window);
-        refine_legal(
+        let mut run = StageRun::default();
+        ctx.legalize = detail::legalize(
+            &mut ctx.objective,
+            netlist,
+            &chip,
+            config.detail_row_window,
+            &mut run,
+        );
+        detail::refine(
             &mut ctx.objective,
             netlist,
             &chip,
             config.legal_refine_passes,
+            &mut run,
         );
         ctx.legal = true;
         let elapsed = t.elapsed();
@@ -901,7 +840,7 @@ mod tests {
         let plan = default_stage_plan(&config);
         assert_eq!(plan.len(), 7);
         assert_eq!(plan[5].name(), "coarse[2]");
-        assert_eq!(plan[6].kind(), StageKind::Detail { round: 2 });
+        assert_eq!(plan[6], StageKind::Detail { round: 2 });
     }
 
     #[test]

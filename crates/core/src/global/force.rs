@@ -28,7 +28,7 @@ const REPULSION_BINS: usize = 16;
 
 /// Runs the force-directed baseline. Returns an unlegalized placement with
 /// continuous x/y and rounded layers — the same contract as
-/// [`global_place`](super::global_place).
+/// [`place`](super::place).
 pub fn force_directed_place(
     netlist: &Netlist,
     chip: &Chip,
@@ -154,10 +154,10 @@ pub fn force_directed_place(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::coarse_legalize;
-    use crate::detail::{check_legal, detail_legalize};
-    use crate::global::global_place;
+    use crate::detail::check_legal;
+    use crate::engine::StageRun;
     use crate::objective::IncrementalObjective;
+    use crate::{coarse, detail, global};
     use tvp_bookshelf::synth::{generate, SynthConfig};
 
     fn full_flow_wl(
@@ -170,11 +170,21 @@ mod tests {
         let placement = if force_directed {
             force_directed_place(netlist, chip, model, config)
         } else {
-            global_place(netlist, chip, model, config)
+            global::place(
+                netlist,
+                chip,
+                model,
+                config,
+                &[],
+                false,
+                &mut StageRun::default(),
+            )
+            .0
         };
         let mut objective = IncrementalObjective::new(netlist, model, placement);
-        coarse_legalize(&mut objective, netlist, chip, config);
-        detail_legalize(&mut objective, netlist, chip, config.detail_row_window);
+        let run = &mut StageRun::default();
+        coarse::legalize(&mut objective, netlist, chip, config, run);
+        detail::legalize(&mut objective, netlist, chip, config.detail_row_window, run);
         assert_eq!(check_legal(netlist, chip, objective.placement()), None);
         objective.total_wirelength()
     }

@@ -23,6 +23,7 @@ mod region;
 pub use force::force_directed_place;
 pub use region::Region;
 
+use crate::engine::StageRun;
 use crate::netweight::NetWeights;
 use crate::objective::{IncrementalObjective, ObjectiveModel};
 use crate::trr::TrrNets;
@@ -83,34 +84,9 @@ pub fn choose_cut_direction(
     }
 }
 
-/// Runs global placement. Returns the placement with every movable cell at
-/// the center of its final leaf region.
-pub fn global_place(
-    netlist: &Netlist,
-    chip: &Chip,
-    model: &ObjectiveModel,
-    config: &PlacerConfig,
-) -> Placement {
-    global_place_with_fixed(netlist, chip, model, config, &[])
-}
-
-/// [`global_place`] with pre-seeded positions for fixed cells (pads,
-/// macros). Fixed cells keep these positions; terminal propagation and the
-/// thermal state see them from the first bisection level.
-pub fn global_place_with_fixed(
-    netlist: &Netlist,
-    chip: &Chip,
-    model: &ObjectiveModel,
-    config: &PlacerConfig,
-    fixed_positions: &[(CellId, f64, f64, u16)],
-) -> Placement {
-    global_place_with_fixed_stats(netlist, chip, model, config, fixed_positions, false).0
-}
-
-/// [`global_place_with_fixed`] that also reports robustness statistics.
-/// When `inject_imbalance` is set, the first (root) bisection is treated
-/// as having violated its balance tolerance, exercising the relaxed-retry
-/// path deterministically.
+/// perfbench's replay surface (`perfbench/src/place.rs` calls it by
+/// name, so its name and signature stay): [`place`] with an unobserved,
+/// unstoppable run. Library code calls [`place`].
 pub fn global_place_with_fixed_stats(
     netlist: &Netlist,
     chip: &Chip,
@@ -119,39 +95,46 @@ pub fn global_place_with_fixed_stats(
     fixed_positions: &[(CellId, f64, f64, u16)],
     inject_imbalance: bool,
 ) -> (Placement, GlobalStats) {
-    global_place_with_fixed_stats_stop(
+    place(
         netlist,
         chip,
         model,
         config,
         fixed_positions,
         inject_imbalance,
-        None,
+        &mut StageRun::default(),
     )
 }
 
-/// [`global_place_with_fixed_stats`] with a cooperative stop signal.
+/// Runs global placement. Returns the placement with every movable cell
+/// at the center of its final leaf region, plus robustness statistics.
 ///
-/// `stop` is handed down into every region bisection, where the FM
+/// `fixed_positions` pre-seeds fixed cells (pads, macros): they keep
+/// these positions, and terminal propagation and the thermal state see
+/// them from the first bisection level. When `inject_imbalance` is set,
+/// the first (root) bisection is treated as having violated its balance
+/// tolerance, exercising the relaxed-retry path deterministically.
+///
+/// `run.stop` is handed down into every region bisection, where the FM
 /// kernels poll it between coarsening levels and every ~1k heap pops
 /// *inside* a refinement pass (with best-prefix rollback, so a
 /// cancelled pass still yields its best legal assignment). It is also
 /// polled between bisection levels here: once it fires, all remaining
 /// regions are finalized as leaves at their current extents, so the
 /// caller always gets a full (if coarse) placement to legalize —
-/// best-so-far, never a partial write. Pass `None` when no stop
-/// condition is armed: the hot loops then skip the poll entirely and
-/// the result is bitwise identical to the historical entry points.
-#[allow(clippy::too_many_arguments)]
-pub fn global_place_with_fixed_stats_stop(
+/// best-so-far, never a partial write. Unarmed runs (`None`) skip the
+/// poll entirely. Global placement reports no pass events and prices no
+/// moves, so `run`'s probe and pricer are unused.
+pub fn place(
     netlist: &Netlist,
     chip: &Chip,
     model: &ObjectiveModel,
     config: &PlacerConfig,
     fixed_positions: &[(CellId, f64, f64, u16)],
     inject_imbalance: bool,
-    stop: Option<&StopFn>,
+    run: &mut StageRun<'_>,
 ) -> (Placement, GlobalStats) {
+    let stop = run.stop;
     let mut placement = Placement::centered(netlist.num_cells(), chip);
     for &(cell, x, y, layer) in fixed_positions {
         let (x, y) = chip.clamp(x, y);
@@ -650,6 +633,24 @@ mod tests {
     use super::*;
     use tvp_bookshelf::synth::{generate, SynthConfig};
 
+    fn place_unobserved(
+        netlist: &Netlist,
+        chip: &Chip,
+        model: &ObjectiveModel,
+        config: &PlacerConfig,
+    ) -> Placement {
+        place(
+            netlist,
+            chip,
+            model,
+            config,
+            &[],
+            false,
+            &mut StageRun::default(),
+        )
+        .0
+    }
+
     fn run(alpha_ilv: f64, alpha_temp: f64, layers: usize) -> (Netlist, Chip, Placement, f64, f64) {
         let netlist = generate(&SynthConfig::named("t", 300, 1.5e-9)).unwrap();
         let config = PlacerConfig::new(layers)
@@ -657,7 +658,7 @@ mod tests {
             .with_alpha_temp(alpha_temp);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let placement = place_unobserved(&netlist, &chip, &model, &config);
         let obj = IncrementalObjective::new(&netlist, &model, placement.clone());
         let (wl, ilv) = (obj.total_wirelength(), obj.total_ilv());
         (netlist, chip, placement, wl, ilv)
@@ -759,7 +760,7 @@ mod tests {
         let power_depth = |alpha_temp: f64| -> f64 {
             let config = base_config.clone().with_alpha_temp(alpha_temp);
             let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-            let placement = global_place(&netlist, &chip, &model, &config);
+            let placement = place_unobserved(&netlist, &chip, &model, &config);
             let obj = IncrementalObjective::new(&netlist, &model, placement);
             // Power-weighted mean layer: lower is better for heat.
             let mut num = 0.0;
@@ -801,10 +802,10 @@ mod tests {
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let serial =
-            tvp_parallel::with_threads(1, || global_place(&netlist, &chip, &model, &config));
+            tvp_parallel::with_threads(1, || place_unobserved(&netlist, &chip, &model, &config));
         for threads in [2, 4] {
             let par = tvp_parallel::with_threads(threads, || {
-                global_place(&netlist, &chip, &model, &config)
+                place_unobserved(&netlist, &chip, &model, &config)
             });
             assert_eq!(serial, par, "threads = {threads}");
         }

@@ -62,7 +62,7 @@ pub mod validate;
 pub use chip::Chip;
 pub use config::{PlacerConfig, ShiftStrategy, TechnologyParams, ThermalTierPolicy};
 pub use control::CancelToken;
-pub use engine::{PlacerContext, Stage, StageKind, StageMonitor, StageStatus};
+pub use engine::{StageKind, StageRun};
 pub use error::PlaceError;
 pub use faults::{Degradation, FaultKind, FaultPlan};
 pub use metrics::PlacementMetrics;

@@ -878,8 +878,8 @@ impl<'a> IncrementalObjective<'a> {
     /// Both passes are elementwise maps, parallelized over chunks of nets
     /// and cells; each element's arithmetic is independent of the
     /// chunking, so the rebuilt caches are bitwise identical for every
-    /// thread count. Only the scalar reduction in `compute_total` is
-    /// association-sensitive (see there).
+    /// thread count, and so is the total folded from them (see
+    /// `compute_total`).
     pub fn rebuild(&mut self) {
         let netlist = self.netlist;
         let mut nets = std::mem::take(&mut self.nets);
@@ -928,25 +928,11 @@ impl<'a> IncrementalObjective<'a> {
         self.probes.clear();
     }
 
-    /// The objective from the current caches. One thread: the historical
-    /// single-accumulator loop, bitwise identical to the serial engine.
-    /// Parallel: chunk partials folded in chunk order — identical across
-    /// all thread counts ≥ 2, and within ~1e-9 relative of the serial
-    /// value (reassociation only).
+    /// The objective from the current caches: per-chunk partials of the
+    /// net terms and of the thermal terms, each folded in chunk order.
+    /// Chunk boundaries depend only on the net and cell counts, so the
+    /// value is bitwise identical at every thread count, one included.
     fn compute_total(&self) -> f64 {
-        if parallel::threads() == 1 {
-            let mut total = 0.0;
-            for ext in &self.nets {
-                let g = ext.geometry();
-                total += g.wirelength() + self.model.alpha_ilv * g.ilv;
-            }
-            if self.model.alpha_temp > 0.0 {
-                for c in 0..self.netlist.num_cells() {
-                    total += self.model.alpha_temp * self.cell_resistance[c] * self.cell_power[c];
-                }
-            }
-            return total;
-        }
         let alpha_ilv = self.model.alpha_ilv;
         let nets = &self.nets;
         let mut total = parallel::sum_chunks(nets.len(), SUM_MIN_CHUNK, |range| {

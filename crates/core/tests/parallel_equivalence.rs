@@ -112,9 +112,8 @@ proptest! {
         seed in 0u64..1000,
         spread in 0.05f64..0.4,
     ) {
-        use tvp_core::coarse::shift::shift_until_spread;
-        use tvp_core::coarse::DensityMesh;
-        use tvp_core::ShiftStrategy;
+        use tvp_core::coarse::{shift, DensityMesh};
+        use tvp_core::{ShiftStrategy, StageRun};
         use rand::rngs::SmallRng;
         use rand::{RngExt, SeedableRng};
 
@@ -140,7 +139,7 @@ proptest! {
                     IncrementalObjective::new(&netlist, &model, placement.clone());
                 let mut mesh = DensityMesh::coarse(&chip);
                 mesh.rebuild(&netlist, objective.placement());
-                let iters = shift_until_spread(
+                let (iters, _) = shift::spread(
                     &mut objective,
                     &mut mesh,
                     &netlist,
@@ -148,6 +147,7 @@ proptest! {
                     1.10,
                     50,
                     ShiftStrategy::WholeRow,
+                    &mut StageRun::default(),
                 );
                 (objective.placement().clone(), iters, objective.total())
             })

@@ -3,8 +3,10 @@
 //! The threading contract says the pipeline's result is a pure function
 //! of the input and the seed — never the worker count. These tests pin
 //! that promise on the exact designs the hotpaths harness uses: the
-//! FNV-1a digest of every cell's `(x, y, layer)` bits must be identical
-//! at 1, 2, and 4 threads. Any divergence means a reduction or
+//! FNV-1a digest of every cell's `(x, y, layer)` bits, and the bits of
+//! the reported objective, must be identical at 1, 2, and 4 threads, in
+//! WL+ILV mode and in thermal mode (α_TEMP = 1e-4, with and without the
+//! compact-tier move pricer). Any divergence means a reduction or
 //! work-decomposition order leaked thread count into the math.
 //!
 //! (The digest itself is hardware-run history, not an assertion: pinning
@@ -22,10 +24,13 @@
 //! spreads (DESIGN.md §17): 1k `eb13799fa98c9973` → `f82aa0d01e436964`
 //! with objective 2.400667e-2 → 2.403208e-2 (+0.11%) and 10k
 //! `91c23d0deb32ba2f` → `c71075bc67d2a904` with objective 5.462374e-1 →
-//! 5.475507e-1 (+0.24%), ILV 8837 → 8846 — noise-scale both ways.)
+//! 5.475507e-1 (+0.24%), ILV 8837 → 8846 — noise-scale both ways. The
+//! thermal cases read `a16e1be21c8a1f7c` (1k, α_TEMP = 1e-4) and
+//! `c668093f372aa4c6` (the same with coarse and detail on the compact
+//! tier) when they were added.)
 
 use tvp_bookshelf::synth::{generate, SynthConfig};
-use tvp_core::{Placer, PlacerConfig};
+use tvp_core::{Placer, PlacerConfig, ThermalTier};
 use tvp_netlist::CellId;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -37,14 +42,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn placement_digest(cells: usize, threads: usize) -> u64 {
+/// The hotpaths reference configuration: 4 layers, 4 partition starts.
+fn reference_config() -> PlacerConfig {
+    PlacerConfig::new(4).with_partition_starts(4)
+}
+
+/// The placement digest and the reported objective's bits of one run.
+fn placement_outcome(cells: usize, config: &PlacerConfig, threads: usize) -> (u64, u64) {
     let netlist =
         generate(&SynthConfig::named("hot", cells, cells as f64 * 5.0e-12)).expect("synth");
-    let placer = Placer::new(
-        PlacerConfig::new(4)
-            .with_partition_starts(4)
-            .with_threads(threads),
-    );
+    let placer = Placer::new(config.clone().with_threads(threads));
     let result = placer.place(&netlist).expect("placement succeeds");
     let mut bytes = Vec::with_capacity(netlist.num_cells() * 18);
     for i in 0..netlist.num_cells() {
@@ -53,33 +60,59 @@ fn placement_digest(cells: usize, threads: usize) -> u64 {
         bytes.extend_from_slice(&y.to_bits().to_le_bytes());
         bytes.extend_from_slice(&layer.to_le_bytes());
     }
-    fnv1a(&bytes)
+    (fnv1a(&bytes), result.metrics.objective.to_bits())
+}
+
+/// Asserts that `config` places the `cells`-cell design bitwise
+/// identically, and reports bitwise the same objective, at 1, 2, and 4
+/// threads.
+fn assert_thread_invariant(cells: usize, config: PlacerConfig) {
+    let (digest, objective) = placement_outcome(cells, &config, 1);
+    for threads in [2usize, 4] {
+        let (d, o) = placement_outcome(cells, &config, threads);
+        assert_eq!(digest, d, "placement digest diverged at threads={threads}");
+        assert_eq!(
+            objective,
+            o,
+            "objective diverged at threads={threads}: {} vs {}",
+            f64::from_bits(objective),
+            f64::from_bits(o)
+        );
+    }
 }
 
 #[test]
 fn reference_1k_placement_hash_is_identical_across_threads() {
-    let serial = placement_digest(1000, 1);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            serial,
-            placement_digest(1000, threads),
-            "placement digest diverged at threads={threads}"
-        );
-    }
+    assert_thread_invariant(1000, reference_config());
 }
 
 /// The 10k design drives the batched coarse engine through many more
 /// batches (and the parallel phase-A chunking through many more chunk
 /// boundaries) than the 1k design does, so it exercises the
-/// deterministic-merge contract where it is most likely to break.
+/// deterministic-merge contract where it is most likely to break. It is
+/// also the one design with more nets than one objective-sum chunk.
 #[test]
 fn reference_10k_placement_hash_is_identical_across_threads() {
-    let serial = placement_digest(10_000, 1);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            serial,
-            placement_digest(10_000, threads),
-            "placement digest diverged at threads={threads}"
-        );
-    }
+    assert_thread_invariant(10_000, reference_config());
+}
+
+/// Thermal mode runs the serial move and row loops and sums the thermal
+/// term into the objective, so its cross-thread equality is pinned
+/// separately.
+#[test]
+fn thermal_1k_placement_hash_is_identical_across_threads() {
+    assert_thread_invariant(1000, reference_config().with_alpha_temp(1.0e-4));
+}
+
+/// The same thermal run with coarse and detail on the compact tier, so
+/// the per-move thermal pricer is armed in both legalization stages.
+#[test]
+fn compact_tier_thermal_1k_placement_hash_is_identical_across_threads() {
+    assert_thread_invariant(
+        1000,
+        reference_config()
+            .with_alpha_temp(1.0e-4)
+            .with_thermal_tier("coarse", ThermalTier::Compact)
+            .with_thermal_tier("detail", ThermalTier::Compact),
+    );
 }

@@ -16,8 +16,8 @@
 //!    same boundary conditions; both are consistent discretizations of the
 //!    same PDE (DESIGN.md §5, substitution 3).
 //! 3. **Tiered oracles** ([`ThermalOracle`]): the placer-facing dispatch
-//!    layer. The finite-volume solver backs the `full-grid` and
-//!    `coarse-grid` tiers ([`GridOracle`]); the `compact` tier
+//!    layer. The finite-volume solver backs the `full-grid` tier
+//!    ([`GridOracle`]); the `compact` tier
 //!    ([`CompactModel`]) is a closed-form superposition model fitted
 //!    against the solver, fast enough to price individual moves
 //!    (DESIGN.md §14).

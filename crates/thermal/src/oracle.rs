@@ -1,4 +1,4 @@
-//! Tiered thermal oracles: one trait, three fidelities.
+//! Tiered thermal oracles: one trait, two fidelities.
 //!
 //! The placer needs temperature estimates at wildly different price
 //! points: microseconds per query inside legalization move loops,
@@ -10,8 +10,6 @@
 //! * [`ThermalTier::FullGrid`] — the finite-volume multigrid-CG solver at
 //!   the evaluation resolution ([`GridOracle`] wrapping
 //!   [`ThermalSimulator`] + [`ThermalSolveContext`]). Ground truth.
-//! * [`ThermalTier::CoarseGrid`] — the same solver at half the lateral
-//!   resolution: ~4× fewer unknowns, same physics.
 //! * [`ThermalTier::Compact`] — the analytical superposition model
 //!   ([`CompactModel`](crate::CompactModel)): closed-form per-source
 //!   heat-spread kernel with amplitudes fitted against the full-grid
@@ -35,8 +33,6 @@ pub enum ThermalTier {
     /// Closed-form superposition model, fitted against the full-grid
     /// solver. Microseconds per evaluation.
     Compact,
-    /// Finite-volume multigrid-CG solve at half the lateral resolution.
-    CoarseGrid,
     /// Finite-volume multigrid-CG solve at full evaluation resolution
     /// (the default, and the ground truth the other tiers are measured
     /// against).
@@ -49,17 +45,14 @@ impl ThermalTier {
     pub fn as_str(self) -> &'static str {
         match self {
             ThermalTier::Compact => "compact",
-            ThermalTier::CoarseGrid => "coarse-grid",
             ThermalTier::FullGrid => "full-grid",
         }
     }
 
-    /// Parses an identifier (accepts the short aliases `coarse` and
-    /// `full`).
+    /// Parses an identifier (accepts the short alias `full`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "compact" => Some(ThermalTier::Compact),
-            "coarse-grid" | "coarse" => Some(ThermalTier::CoarseGrid),
             "full-grid" | "full" => Some(ThermalTier::FullGrid),
             _ => None,
         }
@@ -124,12 +117,11 @@ pub trait ThermalOracle {
 }
 
 /// Grid-backed oracle: the finite-volume solver plus its reusable solve
-/// context, at either full or coarse resolution. This is the historical
-/// stage-boundary path, verbatim: warm-started preconditioned CG, with
-/// the damped-Jacobi fallback (and a context reset) on breakdown.
+/// context. This is the historical stage-boundary path, verbatim:
+/// warm-started preconditioned CG, with the damped-Jacobi fallback (and
+/// a context reset) on breakdown.
 #[derive(Clone, PartialEq, Debug)]
 pub struct GridOracle {
-    tier: ThermalTier,
     sim: ThermalSimulator,
     context: ThermalSolveContext,
 }
@@ -138,22 +130,7 @@ impl GridOracle {
     /// Wraps `sim` as the full-resolution ground-truth tier.
     pub fn full_grid(sim: ThermalSimulator, precond: Preconditioner) -> Self {
         let context = sim.context_with(precond);
-        Self {
-            tier: ThermalTier::FullGrid,
-            sim,
-            context,
-        }
-    }
-
-    /// Wraps `sim` (expected to be discretized at a reduced lateral
-    /// resolution) as the coarse-grid tier.
-    pub fn coarse_grid(sim: ThermalSimulator, precond: Preconditioner) -> Self {
-        let context = sim.context_with(precond);
-        Self {
-            tier: ThermalTier::CoarseGrid,
-            sim,
-            context,
-        }
+        Self { sim, context }
     }
 
     /// The wrapped simulator.
@@ -169,7 +146,7 @@ impl GridOracle {
 
 impl ThermalOracle for GridOracle {
     fn tier(&self) -> ThermalTier {
-        self.tier
+        ThermalTier::FullGrid
     }
 
     fn grid_dims(&self) -> (usize, usize, usize) {
@@ -248,16 +225,13 @@ mod tests {
 
     #[test]
     fn tier_identifiers_round_trip() {
-        for tier in [
-            ThermalTier::Compact,
-            ThermalTier::CoarseGrid,
-            ThermalTier::FullGrid,
-        ] {
+        for tier in [ThermalTier::Compact, ThermalTier::FullGrid] {
             assert_eq!(ThermalTier::parse(tier.as_str()), Some(tier));
         }
-        assert_eq!(ThermalTier::parse("coarse"), Some(ThermalTier::CoarseGrid));
         assert_eq!(ThermalTier::parse("full"), Some(ThermalTier::FullGrid));
         assert_eq!(ThermalTier::parse("fv"), None);
+        assert_eq!(ThermalTier::parse("coarse-grid"), None);
+        assert_eq!(ThermalTier::parse("coarse"), None);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::time::Duration;
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_core::detail::check_legal;
 use tvp_core::{
-    CancelToken, JsonlObserver, PlaceError, PlaceOptions, Placer, PlacerConfig, PlacerEvent,
-    PlacerObserver, RecordingObserver,
+    CancelToken, JsonlObserver, PassEvent, PlaceError, PlaceOptions, Placer, PlacerConfig,
+    PlacerEvent, PlacerObserver, RecordingObserver,
 };
 
 fn netlist(cells: usize) -> tvp_netlist::Netlist {
@@ -161,6 +161,83 @@ fn cancellation_mid_pipeline_returns_a_legal_placement() {
     // A cancelled run is a strict prefix + finalize, so it must be
     // cheaper in pipeline work than the full run (here: no detail[0]).
     assert!(!tags.contains(&"begin(detail[0])".to_string()));
+}
+
+/// Cancels a token at the first pass-boundary event of a specific stage.
+struct CancelAtFirstPass {
+    stage: &'static str,
+    token: CancelToken,
+    events: Vec<PlacerEvent>,
+}
+
+impl PlacerObserver for CancelAtFirstPass {
+    fn event(&mut self, event: &PlacerEvent) {
+        if let PlacerEvent::Pass { stage, .. } = event {
+            if stage == self.stage {
+                self.token.cancel();
+            }
+        }
+        self.events.push(event.clone());
+    }
+}
+
+#[test]
+fn cancellation_inside_detail_finishes_legalization_and_stops_refinement() {
+    let netlist = netlist(250);
+    for layers in [2usize, 4] {
+        // The first `detail[0]` event is legalization's first
+        // `DetailRows`: legalization ignores the stop and packs every
+        // layer, then refinement stops at its first pass boundary.
+        let token = CancelToken::new();
+        let mut obs = CancelAtFirstPass {
+            stage: "detail[0]",
+            token: token.clone(),
+            events: Vec::new(),
+        };
+        let result = Placer::new(PlacerConfig::new(layers))
+            .place_with_options(
+                &netlist,
+                &[],
+                PlaceOptions {
+                    observer: Some(&mut obs),
+                    cancel: Some(token),
+                    ..PlaceOptions::default()
+                },
+            )
+            .unwrap();
+        assert!(result.stopped_early);
+        assert_eq!(check_legal(&netlist, &result.chip, &result.placement), None);
+
+        let detail_passes: Vec<PassEvent> = obs
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                PlacerEvent::Pass { stage, pass, .. } if stage == "detail[0]" => Some(*pass),
+                _ => None,
+            })
+            .collect();
+        let rows = detail_passes
+            .iter()
+            .filter(|p| matches!(p, PassEvent::DetailRows { .. }))
+            .count();
+        let refines = detail_passes
+            .iter()
+            .filter(|p| matches!(p, PassEvent::RefinePass { .. }))
+            .count();
+        assert_eq!(rows, layers, "one DetailRows per layer ({layers} layers)");
+        assert_eq!(refines, 1, "refinement stops after its first pass");
+
+        let tags: Vec<String> = obs.events.iter().map(event_tag).collect();
+        assert!(
+            tags.contains(&"end(detail[0],interrupted=true)".to_string()),
+            "{tags:?}"
+        );
+        assert!(
+            !tags.iter().any(|t| t.contains("finalize")),
+            "a legal placement needs no finalize stage: {tags:?}"
+        );
+        assert!(tags.contains(&"run_end(true)".to_string()));
+    }
 }
 
 #[test]
