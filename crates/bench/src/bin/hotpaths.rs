@@ -10,7 +10,8 @@
 //! `scaling` sweep rounds out the report: per cell count (one fresh
 //! process each) it times synth, Bookshelf render, zero-copy parse,
 //! streaming netlist assembly, and — where practical — the full
-//! placement pipeline, alongside that size's peak RSS.
+//! placement pipeline, alongside that size's peak RSS and each stage's
+//! live-heap peak.
 //!
 //! The report includes the hardware thread count so the numbers can be
 //! read honestly: on a single-core host, extra workers can only add
@@ -43,6 +44,94 @@ use tvp_partition::{bisect, bisect_fixed_profiled, BisectConfig, FixedSide, Hype
 use tvp_thermal::{
     compact_params, CompactModel, LayerStack, PowerMap, Preconditioner, ThermalSimulator,
 };
+
+/// Live-heap accounting for the scaling rows. The allocator forwards to
+/// `System` and counts only once [`heap::enable`] ran — which only a
+/// `--scale-one` child does — so the kernel sections time the plain
+/// system allocator.
+mod heap {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
+
+    static COUNTING: AtomicBool = AtomicBool::new(false);
+    /// Live bytes allocated since counting began; blocks allocated
+    /// before it and freed after drive it (slightly) negative.
+    static LIVE: AtomicIsize = AtomicIsize::new(0);
+    static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+    pub struct Counting;
+
+    fn grow(bytes: usize) {
+        if COUNTING.load(Ordering::Relaxed) {
+            let live = LIVE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
+            PEAK.fetch_max(live, Ordering::Relaxed);
+        }
+    }
+
+    fn shrink(bytes: usize) {
+        if COUNTING.load(Ordering::Relaxed) {
+            LIVE.fetch_sub(bytes as isize, Ordering::Relaxed);
+        }
+    }
+
+    // SAFETY: every call forwards to `System` with the caller's
+    // arguments; the counters only observe sizes.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let ptr = System.alloc(layout);
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            let ptr = System.alloc_zeroed(layout);
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+            shrink(layout.size());
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let new = System.realloc(ptr, layout, new_size);
+            if !new.is_null() {
+                if new_size >= layout.size() {
+                    grow(new_size - layout.size());
+                } else {
+                    shrink(layout.size() - new_size);
+                }
+            }
+            new
+        }
+    }
+
+    /// Starts counting live bytes.
+    pub fn enable() {
+        COUNTING.store(true, Ordering::Relaxed);
+    }
+
+    /// The live-heap high-water mark since the last reset, bytes.
+    pub fn peak() -> usize {
+        PEAK.load(Ordering::Relaxed).max(0) as usize
+    }
+
+    /// Restarts the high-water mark from the current live bytes and
+    /// returns the mark it replaces.
+    pub fn reset_peak() -> usize {
+        let peak = peak();
+        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+        peak
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: heap::Counting = heap::Counting;
 
 /// Pipeline stages a scaling row may time, in execution order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -263,6 +352,10 @@ fn peak_rss_mb() -> f64 {
 /// three-stage prefix still goes through [`Placer`] so its timings
 /// match the production path.
 ///
+/// Either way the placement object carries `heap_peak_mb`, each stage's
+/// live-heap high-water mark (the count restarts at every stage begin),
+/// and `bytes_per_cell`, the placement's overall live-heap peak per cell.
+///
 /// Meant to run in a fresh process (`--scale-one`) so the reported peak
 /// RSS belongs to this size alone.
 fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
@@ -324,6 +417,7 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                 .with_threads(threads);
             let chip = Chip::from_netlist(netlist, &config).expect("chip");
             let model = ObjectiveModel::new(netlist, &chip, &config).expect("model");
+            heap::reset_peak();
             let t = Instant::now();
             let (placement, _) = tvp_core::global::place(
                 netlist,
@@ -335,6 +429,12 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                 &mut StageRun::default(),
             );
             let global_ms = t.elapsed().as_secs_f64() * 1e3;
+            // As in `Placer`, global's heap window ends with the evaluator
+            // built from its placement.
+            let objective = stages
+                .contains(&Stage::Coarse)
+                .then(|| IncrementalObjective::new(netlist, &model, placement));
+            let mut heap_peaks = vec![("global".to_string(), heap::reset_peak())];
             let mut row = format!(
                 "{{\"threads\": {threads}, \"stages\": \"{}\", \"global_ms\": {global_ms:.1}",
                 stages
@@ -343,8 +443,7 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                     .collect::<Vec<_>>()
                     .join(",")
             );
-            if stages.contains(&Stage::Coarse) {
-                let mut objective = IncrementalObjective::new(netlist, &model, placement);
+            if let Some(mut objective) = objective {
                 let mut shift_passes = 0usize;
                 let t = Instant::now();
                 tvp_core::coarse::legalize(
@@ -364,8 +463,10 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                     ", \"coarse_ms\": {:.1}, \"shift_passes\": {shift_passes}",
                     t.elapsed().as_secs_f64() * 1e3
                 );
+                heap_peaks.push(("coarse".to_string(), heap::reset_peak()));
             }
-            row.push('}');
+            let run_peak = heap_peaks.iter().map(|&(_, b)| b).max().unwrap_or(0);
+            let _ = write!(row, ", {}}}", heap_json(&heap_peaks, run_peak, cells));
             row
         }
         // An explicit full prefix overrides the size cutoff; the default
@@ -377,19 +478,29 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
 
     fn placer_row(netlist: &Netlist, threads: usize) -> String {
         /// Counts cell-shifting passes from the event stream (the
-        /// convergence-adaptive spread makes the count a scaling signal).
+        /// convergence-adaptive spread makes the count a scaling signal)
+        /// and takes each stage's live-heap peak.
         #[derive(Default)]
-        struct ShiftPassCounter(usize);
-        impl PlacerObserver for ShiftPassCounter {
+        struct RowObserver {
+            shift_passes: usize,
+            heap_peaks: Vec<(String, usize)>,
+            /// The highest mark any reset replaced.
+            run_peak: usize,
+        }
+        impl PlacerObserver for RowObserver {
             fn event(&mut self, event: &PlacerEvent) {
-                if matches!(
-                    event,
+                match event {
                     PlacerEvent::Pass {
                         pass: PassEvent::ShiftPass { .. },
                         ..
+                    } => self.shift_passes += 1,
+                    PlacerEvent::StageBegin { .. } => {
+                        self.run_peak = self.run_peak.max(heap::reset_peak());
                     }
-                ) {
-                    self.0 += 1;
+                    PlacerEvent::StageEnd { stage, .. } => {
+                        self.heap_peaks.push((stage.clone(), heap::peak()));
+                    }
+                    _ => {}
                 }
             }
         }
@@ -399,25 +510,28 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                     .with_partition_starts(4)
                     .with_threads(threads),
             );
-            let mut counter = ShiftPassCounter::default();
+            let mut observer = RowObserver::default();
+            heap::reset_peak();
             let t = Instant::now();
             let result = placer
                 .place_with_options(
                     netlist,
                     &[],
                     PlaceOptions {
-                        observer: Some(&mut counter),
+                        observer: Some(&mut observer),
                         ..PlaceOptions::default()
                     },
                 )
                 .expect("places");
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+            let run_peak = observer.run_peak.max(heap::peak());
             format!(
-                "{{\"threads\": {threads}, \"wall_ms\": {wall_ms:.1}, \"global_ms\": {:.1}, \"coarse_ms\": {:.1}, \"detail_ms\": {:.1}, \"shift_passes\": {}}}",
+                "{{\"threads\": {threads}, \"wall_ms\": {wall_ms:.1}, \"global_ms\": {:.1}, \"coarse_ms\": {:.1}, \"detail_ms\": {:.1}, \"shift_passes\": {}, {}}}",
                 result.timings.global.as_secs_f64() * 1e3,
                 result.timings.coarse.as_secs_f64() * 1e3,
                 result.timings.detail.as_secs_f64() * 1e3,
-                counter.0,
+                observer.shift_passes,
+                heap_json(&observer.heap_peaks, run_peak, netlist.num_cells()),
             )
         }
     }
@@ -425,6 +539,20 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
     format!(
         "{{\"cells\": {cells}, \"nets\": {num_nets}, \"pins\": {num_pins}, \"synth_ms\": {synth_ms:.1}, \"write_ms\": {write_ms:.1}, \"parse_ms\": {parse_ms:.1}, \"build_ms\": {build_ms:.1}, \"place\": {place}, \"peak_rss_mb\": {:.1}}}",
         peak_rss_mb()
+    )
+}
+
+/// The heap fields of a scaling row's placement object: each stage's
+/// live-heap peak in MB and the run's peak in bytes per cell.
+fn heap_json(stage_peaks: &[(String, usize)], run_peak: usize, cells: usize) -> String {
+    let stages: Vec<String> = stage_peaks
+        .iter()
+        .map(|(stage, bytes)| format!("\"{stage}\": {:.3}", *bytes as f64 / (1024.0 * 1024.0)))
+        .collect();
+    format!(
+        "\"heap_peak_mb\": {{{}}}, \"bytes_per_cell\": {:.0}",
+        stages.join(", "),
+        run_peak as f64 / cells.max(1) as f64
     )
 }
 
@@ -443,6 +571,7 @@ fn json_threads_ms(entries: &[(usize, f64)]) -> String {
 fn main() {
     let opts = parse_options();
     if let Some(cells) = opts.scale_one {
+        heap::enable();
         println!("{}", scale_row_json(cells, opts.stages.as_deref()));
         return;
     }
@@ -1083,7 +1212,7 @@ fn main() {
     let _ = writeln!(json, "  \"scaling\": {{");
     let _ = writeln!(
         json,
-        "    \"note\": \"each row runs in a fresh process so peak_rss_mb is that size's own high-water mark; parse_ms is a pure token scan through the zero-copy stream readers, build_ms the fused streaming parse+assemble (Design::assemble_streaming); place is null above {SCALE_PLACE_MAX} cells, where only ingest is practical to time\","
+        "    \"note\": \"each row runs in a fresh process so peak_rss_mb is that size's own high-water mark; parse_ms is a pure token scan through the zero-copy stream readers, build_ms the fused streaming parse+assemble (Design::assemble_streaming); place is null above {SCALE_PLACE_MAX} cells, where only ingest is practical to time; place.heap_peak_mb is each stage's live-heap high-water mark (the count restarts at every stage begin) and place.bytes_per_cell the placement's overall live-heap peak per cell, both counted by an allocator that only the fresh child process arms\","
     );
     let _ = writeln!(json, "    \"rows\": [");
     for (i, row) in scale_rows.iter().enumerate() {

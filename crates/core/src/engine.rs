@@ -126,9 +126,6 @@ struct PlacerContext<'a> {
     chip: &'a Chip,
     config: &'a PlacerConfig,
     model: &'a ObjectiveModel,
-    /// The placement under construction, behind its incremental
-    /// objective evaluator.
-    objective: IncrementalObjective<'a>,
     /// Fixed-cell seeds (pads, macros) for global placement.
     fixed_positions: &'a [(CellId, f64, f64, u16)],
     /// Statistics of the most recent detailed legalization.
@@ -148,7 +145,24 @@ struct PlacerContext<'a> {
     pending_events: Vec<PlacerEvent>,
 }
 
-impl PlacerContext<'_> {
+impl<'a> PlacerContext<'a> {
+    /// An evaluator over the centered placement.
+    fn centered_evaluator(&self) -> IncrementalObjective<'a> {
+        let placement = Placement::centered(self.netlist.num_cells(), self.chip);
+        IncrementalObjective::new(self.netlist, self.model, placement)
+    }
+
+    /// The run's one evaluator (DESIGN.md §11), built over the centered
+    /// placement if `slot` is still empty. Global placement prices no
+    /// moves, so a fresh run fills the slot from global's placement and a
+    /// resume from the checkpoint's; every later stage finds it filled.
+    fn evaluator<'o>(
+        &self,
+        slot: &'o mut Option<IncrementalObjective<'a>>,
+    ) -> &'o mut IncrementalObjective<'a> {
+        slot.get_or_insert_with(|| self.centered_evaluator())
+    }
+
     /// Whether the attached [`FaultPlan`] wants fault `kind` injected at
     /// `site` (always `false` without a plan). A firing fault is reported
     /// to the observer as [`PlacerEvent::FaultInjected`].
@@ -189,17 +203,19 @@ fn flush_events(ctx: &mut PlacerContext<'_>, observer: &mut dyn PlacerObserver) 
     }
 }
 
-/// Runs one stage of the plan through its entry point. Returns whether
-/// the stage stopped early at a cancellation point; the driver then
-/// stops the pipeline (after restoring legality if needed).
+/// Runs one stage of the plan through its entry point, on the run's
+/// evaluator in `objective` (global fills the slot). Returns whether the
+/// stage stopped early at a cancellation point; `run_pipeline` then
+/// stops (after restoring legality if needed).
 ///
 /// # Errors
 ///
 /// [`PlaceError`] only for non-recoverable failures; cancellation is not
 /// an error.
-fn run_stage(
+fn run_stage<'a>(
     kind: StageKind,
-    ctx: &mut PlacerContext<'_>,
+    ctx: &mut PlacerContext<'a>,
+    objective: &mut Option<IncrementalObjective<'a>>,
     probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
     stop: Option<&StopFn>,
 ) -> Result<bool, PlaceError> {
@@ -229,12 +245,15 @@ fn run_stage(
                     retries: stats.partition_retries,
                 });
             }
-            ctx.objective = IncrementalObjective::new(ctx.netlist, ctx.model, placement);
+            // Global prices no moves, so the run's evaluator is built only
+            // now, from its placement.
+            *objective = Some(IncrementalObjective::new(ctx.netlist, ctx.model, placement));
             ctx.legal = false;
             Ok(interrupted)
         }
         StageKind::Coarse { .. } => {
             ctx.legal = false;
+            let objective = ctx.evaluator(objective);
             // The frozen field is re-grounded on the placement the stage
             // starts from.
             run.pricer = refreshed_pricer(
@@ -243,22 +262,18 @@ fn run_stage(
                 ctx.netlist,
                 ctx.chip,
                 ctx.model,
-                &ctx.objective,
+                objective,
             )?;
-            let (_, interrupted) = coarse::legalize(
-                &mut ctx.objective,
-                ctx.netlist,
-                ctx.chip,
-                ctx.config,
-                &mut run,
-            );
+            let (_, interrupted) =
+                coarse::legalize(objective, ctx.netlist, ctx.chip, ctx.config, &mut run);
             Ok(interrupted)
         }
         StageKind::Detail { .. } => {
             // Legalization itself never stops early: it is the step that
             // *creates* the legality every graceful stop relies on.
+            let objective = ctx.evaluator(objective);
             ctx.legalize = detail::legalize(
-                &mut ctx.objective,
+                objective,
                 ctx.netlist,
                 ctx.chip,
                 ctx.config.detail_row_window,
@@ -273,10 +288,10 @@ fn run_stage(
                 ctx.netlist,
                 ctx.chip,
                 ctx.model,
-                &ctx.objective,
+                objective,
             )?;
             let (_, interrupted) = detail::refine(
-                &mut ctx.objective,
+                objective,
                 ctx.netlist,
                 ctx.chip,
                 ctx.config.legal_refine_passes,
@@ -438,10 +453,10 @@ pub(crate) fn run_pipeline(
         Some(dir) => checkpoint::load_latest(dir, netlist, fp, stages.len(), &chip)?,
         None => CheckpointLoad::Fresh,
     };
-    let fresh = || (Placement::centered(netlist.num_cells(), &chip), None, false);
+    let fresh = || (None, None, false);
     let mut quarantined_note = None;
-    let (initial_placement, resumed_index, legal) = match load {
-        CheckpointLoad::Resume(r) => (r.placement, Some(r.stage_index), r.legal),
+    let (resumed_placement, resumed_index, legal) = match load {
+        CheckpointLoad::Resume(r) => (Some(r.placement), Some(r.stage_index), r.legal),
         CheckpointLoad::Fresh => fresh(),
         CheckpointLoad::Quarantined {
             quarantined,
@@ -452,13 +467,17 @@ pub(crate) fn run_pipeline(
         }
     };
     let resumed_from = resumed_index.map(|i| stage_names[i].clone());
+    // The run's one evaluator (DESIGN.md §11). A resume builds it from the
+    // checkpoint's placement; a fresh run has none until global hands its
+    // placement over, so no evaluator sits idle through global.
+    let mut objective =
+        resumed_placement.map(|placement| IncrementalObjective::new(netlist, &model, placement));
 
     let mut ctx = PlacerContext {
         netlist,
         chip: &chip,
         config,
         model: &model,
-        objective: IncrementalObjective::new(netlist, &model, initial_placement),
         fixed_positions,
         legalize: LegalizeStats::default(),
         legal,
@@ -540,15 +559,16 @@ pub(crate) fn run_pipeline(
                     ControlFlow::Continue(())
                 }
             };
-            run_stage(kind, &mut ctx, &mut probe, kernel_stop)?
+            run_stage(kind, &mut ctx, &mut objective, &mut probe, kernel_stop)?
         };
         flush_events(&mut ctx, observer);
         let elapsed = t.elapsed();
-        // Stage boundary: pin the accumulated objective back to a
-        // from-scratch recomputation so float round-off from the stage's
-        // move sequence never compounds into the next stage (outside the
-        // timed region — this is bookkeeping, not stage work).
-        ctx.objective.resync_total();
+        let evaluator = ctx.evaluator(&mut objective);
+        // Stage boundary: pin the accumulated objective back to a fold of
+        // the exact caches so float round-off from the stage's move
+        // sequence never compounds into the next stage (outside the timed
+        // region — this is bookkeeping, not stage work).
+        evaluator.resync_total();
         match kind {
             StageKind::Global => timings.global += elapsed,
             StageKind::Coarse { round } => {
@@ -565,7 +585,7 @@ pub(crate) fn run_pipeline(
                 index,
                 stage: name.clone(),
                 seconds: elapsed.as_secs_f64(),
-                objective: ctx.objective.total(),
+                objective: evaluator.total(),
                 interrupted,
             });
         }
@@ -578,7 +598,14 @@ pub(crate) fn run_pipeline(
             _ => None,
         };
         if let Some(label) = snapshot_label {
-            snapshot(label, &mut ctx, &mut oracles, &mut trajectory, observer)?;
+            snapshot(
+                label,
+                &mut ctx,
+                evaluator,
+                &mut oracles,
+                &mut trajectory,
+                observer,
+            )?;
             flush_events(&mut ctx, observer);
         }
 
@@ -608,7 +635,7 @@ pub(crate) fn run_pipeline(
                 stages.len(),
                 ctx.legal,
                 netlist,
-                ctx.objective.placement(),
+                evaluator.placement(),
                 fp,
             )?;
             // Fault injection: damage the just-written checkpoint so a
@@ -626,6 +653,9 @@ pub(crate) fn run_pipeline(
             }
         }
     }
+    // Every stage leaves the evaluator behind; only a run stopped before
+    // global has none yet, and legalizes the centered placement.
+    let mut objective = objective.unwrap_or_else(|| ctx.centered_evaluator());
     // A graceful stop must still hand back a legal placement: if the
     // pipeline stopped before (or inside) a legalizing stage, run one
     // uncancellable detail pass over the best placement we have.
@@ -640,14 +670,14 @@ pub(crate) fn run_pipeline(
         let t = Instant::now();
         let mut run = StageRun::default();
         ctx.legalize = detail::legalize(
-            &mut ctx.objective,
+            &mut objective,
             netlist,
             &chip,
             config.detail_row_window,
             &mut run,
         );
         detail::refine(
-            &mut ctx.objective,
+            &mut objective,
             netlist,
             &chip,
             config.legal_refine_passes,
@@ -655,20 +685,20 @@ pub(crate) fn run_pipeline(
         );
         ctx.legal = true;
         let elapsed = t.elapsed();
-        ctx.objective.resync_total();
+        objective.resync_total();
         timings.detail += elapsed;
         if observer.enabled() {
             observer.event(&PlacerEvent::StageEnd {
                 index,
                 stage: "finalize".to_string(),
                 seconds: elapsed.as_secs_f64(),
-                objective: ctx.objective.total(),
+                objective: objective.total(),
                 interrupted: false,
             });
         }
     }
 
-    if let Some(violation) = check_legal(netlist, &chip, ctx.objective.placement()) {
+    if let Some(violation) = check_legal(netlist, &chip, objective.placement()) {
         return Err(PlaceError::LegalizationFailed { violation });
     }
 
@@ -681,7 +711,7 @@ pub(crate) fn run_pipeline(
         netlist,
         &chip,
         &model,
-        &ctx.objective,
+        &objective,
         oracles.oracle(final_tier),
         guard,
     )?;
@@ -691,7 +721,7 @@ pub(crate) fn run_pipeline(
             detail: outcome.describe(),
         });
     }
-    let (cross_max, cross_avg) = cross_errors(&ctx, &mut oracles, final_tier, &field)?;
+    let (cross_max, cross_avg) = cross_errors(&ctx, &objective, &mut oracles, final_tier, &field)?;
     flush_events(&mut ctx, observer);
     let final_snapshot = ThermalSnapshot {
         stage: "final",
@@ -717,7 +747,7 @@ pub(crate) fn run_pipeline(
     }
 
     timings.total = start.elapsed();
-    let placement = ctx.objective.into_placement();
+    let placement = objective.into_placement();
     let legalize = ctx.legalize;
     let degradations = ctx.degradations;
     Ok(PlacementResult {
@@ -750,6 +780,7 @@ fn grow_rounds(rounds: &mut Vec<RoundTiming>, round: usize) -> &mut RoundTiming 
 fn snapshot(
     stage: &'static str,
     ctx: &mut PlacerContext<'_>,
+    objective: &IncrementalObjective<'_>,
     oracles: &mut ThermalOracles,
     trajectory: &mut Vec<ThermalSnapshot>,
     observer: &mut dyn PlacerObserver,
@@ -763,7 +794,7 @@ fn snapshot(
         ctx.netlist,
         ctx.chip,
         ctx.model,
-        &ctx.objective,
+        objective,
         oracles.oracle(tier),
         guard,
     )?;
@@ -773,8 +804,8 @@ fn snapshot(
             detail: outcome.describe(),
         });
     }
-    let (avg, max) = metrics::sample_cells(ctx.chip, &ctx.objective, &field);
-    let (cross_max, cross_avg) = cross_errors(ctx, oracles, tier, &field)?;
+    let (avg, max) = metrics::sample_cells(ctx.chip, objective, &field);
+    let (cross_max, cross_avg) = cross_errors(ctx, objective, oracles, tier, &field)?;
     let snap = ThermalSnapshot {
         stage,
         tier: tier.as_str(),
@@ -802,6 +833,7 @@ fn snapshot(
 /// default (all-full-grid) policy this function never solves at all.
 fn cross_errors(
     ctx: &PlacerContext<'_>,
+    objective: &IncrementalObjective<'_>,
     oracles: &mut ThermalOracles,
     tier: ThermalTier,
     field: &TemperatureField,
@@ -813,15 +845,12 @@ fn cross_errors(
         ctx.netlist,
         ctx.chip,
         ctx.model,
-        &ctx.objective,
+        objective,
         &mut oracles.full,
         ThermalGuard::default(),
     )?;
     Ok(metrics::cross_model_error(
-        ctx.chip,
-        &ctx.objective,
-        field,
-        &reference,
+        ctx.chip, objective, field, &reference,
     ))
 }
 

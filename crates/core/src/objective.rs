@@ -753,7 +753,9 @@ impl FrozenPricer<'_> {
 /// the committed net/power/resistance caches, plus the staged move list
 /// and per-move deltas. Pricing writes only here; commit patches the
 /// staged values into the caches. Begin-of-probe cost is O(1) — clearing
-/// is done by bumping the epoch, not by touching the stamp arrays.
+/// is done by bumping the epoch, not by touching the stamp arrays. The
+/// power/resistance overlays are sized like the evaluator's thermal
+/// caches: empty in WL+ILV mode.
 #[derive(Clone, Debug, Default)]
 struct DeltaWorkspace {
     epoch: u32,
@@ -833,8 +835,9 @@ pub struct CellMove {
 }
 
 /// Objective evaluator maintaining per-net extreme caches, per-cell power
-/// and resistance caches, and the scalar total. Probes price in O(1)
-/// amortized per incident net and never touch the committed caches.
+/// and resistance caches (only while the thermal term is active), and the
+/// scalar total. Probes price in O(1) amortized per incident net and
+/// never touch the committed caches.
 #[derive(Clone, Debug)]
 pub struct IncrementalObjective<'a> {
     netlist: &'a Netlist,
@@ -853,20 +856,18 @@ impl<'a> IncrementalObjective<'a> {
     /// Builds the evaluator for a placement.
     pub fn new(netlist: &'a Netlist, model: &'a ObjectiveModel, placement: Placement) -> Self {
         let cell_nets = DistinctNets::build(netlist);
+        let thermal_cells = thermal_cells(netlist, model);
         let mut this = Self {
             netlist,
             model,
             placement,
             nets: vec![NetExtremes::default(); netlist.num_nets()],
-            cell_power: vec![0.0; netlist.num_cells()],
-            cell_resistance: vec![0.0; netlist.num_cells()],
+            cell_power: vec![0.0; thermal_cells],
+            cell_resistance: vec![0.0; thermal_cells],
             total: 0.0,
             probes: ProbeMemo::empty(cell_nets.entries.len(), netlist.num_nets()),
             cell_nets,
-            pricing: RefCell::new(DeltaWorkspace::sized(
-                netlist.num_nets(),
-                netlist.num_cells(),
-            )),
+            pricing: RefCell::new(DeltaWorkspace::sized(netlist.num_nets(), thermal_cells)),
         };
         this.rebuild();
         this
@@ -898,6 +899,8 @@ impl<'a> IncrementalObjective<'a> {
         }
         self.nets = nets;
 
+        // The per-cell pass runs over the thermal caches, which are empty
+        // in WL+ILV mode: there it does nothing.
         let mut cell_power = std::mem::take(&mut self.cell_power);
         let mut cell_resistance = std::mem::take(&mut self.cell_resistance);
         {
@@ -990,21 +993,23 @@ impl<'a> IncrementalObjective<'a> {
 
     /// Cached power of `cell` (Eq. 10), W.
     ///
-    /// Maintained incrementally only while the thermal term is active
-    /// (`alpha_temp > 0`); with the term off the cache stays at its last
-    /// [`rebuild`](Self::rebuild) value — it never enters the objective
-    /// then, and every consumer either scales it by `alpha_temp` or
-    /// recomputes from the model.
+    /// Kept only while the thermal term is active (`alpha_temp > 0`). With
+    /// the term off the evaluator holds no thermal state and this reads
+    /// 0: the power never enters the objective then, and every consumer
+    /// either scales it by `alpha_temp` or recomputes it from the model.
     #[inline]
     pub fn cell_power(&self, cell: CellId) -> f64 {
-        self.cell_power[cell.index()]
+        self.cell_power.get(cell.index()).copied().unwrap_or(0.0)
     }
 
-    /// Cached thermal resistance of `cell`, K/W. Same maintenance
-    /// contract as [`cell_power`](Self::cell_power).
+    /// Cached thermal resistance of `cell`, K/W. Same contract as
+    /// [`cell_power`](Self::cell_power).
     #[inline]
     pub fn cell_resistance(&self, cell: CellId) -> f64 {
-        self.cell_resistance[cell.index()]
+        self.cell_resistance
+            .get(cell.index())
+            .copied()
+            .unwrap_or(0.0)
     }
 
     fn resistance_at(&self, cell: CellId, pos: (f64, f64, u16)) -> f64 {
@@ -1483,16 +1488,17 @@ impl<'a> IncrementalObjective<'a> {
             .sum()
     }
 
-    /// Recomputes the objective from scratch and returns it (for
-    /// consistency checks; does not modify the caches).
+    /// Recomputes the objective from scratch and returns it (the test
+    /// oracle for the incremental caches; does not modify them).
     pub fn recompute_total(&self) -> f64 {
+        let thermal_cells = thermal_cells(self.netlist, self.model);
         let mut clone = Self {
             netlist: self.netlist,
             model: self.model,
             placement: self.placement.clone(),
             nets: vec![NetExtremes::default(); self.netlist.num_nets()],
-            cell_power: vec![0.0; self.netlist.num_cells()],
-            cell_resistance: vec![0.0; self.netlist.num_cells()],
+            cell_power: vec![0.0; thermal_cells],
+            cell_resistance: vec![0.0; thermal_cells],
             total: 0.0,
             cell_nets: DistinctNets::default(),
             probes: ProbeMemo::default(),
@@ -1502,15 +1508,29 @@ impl<'a> IncrementalObjective<'a> {
         clone.total
     }
 
-    /// Re-syncs the accumulated `total` with a from-scratch recomputation
-    /// and returns the drift (`accumulated − recomputed`) that was
-    /// corrected. Called at stage boundaries so float round-off from long
-    /// move sequences never compounds across stages.
+    /// Re-syncs the accumulated `total` with a fold of the live caches
+    /// and returns the drift (`accumulated − folded`) that was corrected.
+    /// Called at stage boundaries so float round-off from long move
+    /// sequences never compounds across stages. Only the scalar drifts:
+    /// the caches stay bitwise equal to a rebuild (module docs), so the
+    /// fold equals [`recompute_total`](Self::recompute_total) bit for bit
+    /// without cloning the placement or rebuilding a cache.
     pub fn resync_total(&mut self) -> f64 {
-        let fresh = self.recompute_total();
+        let fresh = self.compute_total();
         let drift = self.total - fresh;
         self.total = fresh;
         drift
+    }
+}
+
+/// Cells the power/resistance caches and their workspace overlays cover:
+/// all of them while the thermal term is active, none in WL+ILV mode,
+/// where nothing reads them (40 B per cell saved).
+fn thermal_cells(netlist: &Netlist, model: &ObjectiveModel) -> usize {
+    if model.alpha_temp > 0.0 {
+        netlist.num_cells()
+    } else {
+        0
     }
 }
 
@@ -1520,9 +1540,6 @@ fn resistance_at(
     cell: CellId,
     (x, y, layer): (f64, f64, u16),
 ) -> f64 {
-    if model.alpha_temp == 0.0 {
-        return 0.0; // never read when the thermal term is off
-    }
     model.cell_resistance(x, y, layer, netlist.cell(cell).area())
 }
 

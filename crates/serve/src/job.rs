@@ -11,6 +11,7 @@
 //! and reproduces the interrupted run bitwise.
 
 use crate::json::{obj, s, Value};
+use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
 use tvp_core::PlacementResult;
@@ -442,15 +443,7 @@ impl JobRecord {
     /// Propagates filesystem errors as strings.
     pub fn persist(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let tmp = dir.join("job.json.tmp");
-        let target = dir.join("job.json");
-        let text = self.to_json().to_json();
-        std::fs::write(&tmp, text.as_bytes())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        if let Ok(file) = std::fs::File::open(&tmp) {
-            let _ = file.sync_all();
-        }
-        std::fs::rename(&tmp, &target).map_err(|e| format!("rename into {}: {e}", target.display()))
+        write_durable(&dir.join("job.json"), self.to_json().to_json().as_bytes())
     }
 
     /// Loads `<dir>/job.json`.
@@ -465,6 +458,41 @@ impl JobRecord {
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         JobRecord::from_json(&Value::parse(&text)?)
     }
+}
+
+/// Writes `bytes` to `path` through a sibling `.tmp` file that is
+/// fsynced and then renamed over `path`, so a crash leaves the old file
+/// or the new one, never a truncated mix. The directory is synced after
+/// the rename where the platform allows it, so the new name survives a
+/// crash too.
+///
+/// # Errors
+///
+/// Any I/O failure, as a message naming the file it hit.
+pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .map_err(|e| format!("write {}: {e}", tmp.display()))
+        .and_then(|()| {
+            std::fs::rename(&tmp, path).map_err(|e| format!("rename into {}: {e}", path.display()))
+        });
+    match &written {
+        Ok(()) => {
+            if let Some(dir) = path.parent() {
+                let _ = std::fs::File::open(dir).and_then(|dir| dir.sync_all());
+            }
+        }
+        Err(_) => {
+            let _ = std::fs::remove_file(&tmp);
+        }
+    }
+    written
 }
 
 /// 64-bit FNV-1a over a byte stream.

@@ -8,7 +8,7 @@
 //! is what makes kill-at-any-instant recovery sound.
 
 use crate::http::{self, Request, Response};
-use crate::job::{backoff_delay, fnv1a, JobRecord, JobSpec, JobState};
+use crate::job::{self, backoff_delay, fnv1a, JobRecord, JobSpec, JobState};
 use crate::json::{obj, s, Value};
 use crate::metrics::Metrics;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -654,19 +654,29 @@ fn run_job(inner: &Arc<Inner>, id: &str) {
         inner.metrics.running.fetch_sub(1, Ordering::Relaxed);
         return;
     };
+    let parked = !was_cancelled && inner.parking.load(Ordering::SeqCst) && token.is_cancelled();
+    // A finished run's placement is durable before its record can say
+    // `done`; a failed write is a retryable error, so the retry and
+    // dead-letter policy below applies to it.
+    let outcome = outcome.and_then(|(result, pl_text)| {
+        if !was_cancelled && !parked {
+            job::write_durable(&inner.job_dir(id).join("placement.pl"), pl_text.as_bytes())
+                .map_err(|message| (message, true))?;
+        }
+        Ok(result)
+    });
     match outcome {
-        Ok((result, pl_text)) => {
+        Ok(result) => {
             if was_cancelled {
                 record.state = JobState::Cancelled;
                 Metrics::bump(&inner.metrics.jobs_cancelled);
-            } else if inner.parking.load(Ordering::SeqCst) && token.is_cancelled() {
+            } else if parked {
                 // Parked by shutdown: back to pending with checkpoints
                 // intact; the next daemon start resumes this run.
                 record.state = JobState::Pending;
                 eprintln!("[tvp-serve] {id}: parked by shutdown after attempt {attempts}");
             } else {
                 record.absorb_result(&result);
-                let _ = std::fs::write(inner.job_dir(id).join("placement.pl"), pl_text);
                 // The run is over; its stage checkpoints have no future.
                 let _ = std::fs::remove_dir_all(inner.checkpoint_dir(id));
                 if result.stopped_early {

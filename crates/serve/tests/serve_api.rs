@@ -171,6 +171,52 @@ fn injected_fault_retries_to_success_and_exhaustion_dead_letters() {
     let _ = std::fs::remove_dir_all(state_dir);
 }
 
+/// The placement file is written (tmp + fsync + rename) before the
+/// record may say `done`, and a failed write goes through the retry and
+/// dead-letter policy instead of leaving a `done` job without a
+/// placement.
+#[test]
+fn failed_placement_write_dead_letters_instead_of_done() {
+    let (mut server, addr, state_dir) = start("pl-write", |c| c.workers = 1);
+    let id = job_id(&submit(
+        &addr,
+        r#"{"name":"unwritable","cells":200,"seed":3,"max_attempts":1,"inject_faults":["slow-stage:global"]}"#,
+    ));
+    // The injected stall holds the job inside global; a directory where
+    // the placement file belongs makes its final rename fail.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let reply = request(&addr, "GET", &format!("/jobs/{id}"), "").expect("status request");
+        let doc = Value::parse(&reply.body).unwrap();
+        if doc.get("state").unwrap().as_str() == Some("running") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "job never started: {}",
+            reply.body
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let blocker = state_dir.join("jobs").join(&id).join("placement.pl");
+    std::fs::create_dir_all(&blocker).unwrap();
+
+    let dead = wait_terminal(&addr, &id);
+    assert_eq!(
+        dead.get("state").unwrap().as_str(),
+        Some("dead-letter"),
+        "{}",
+        dead.to_json()
+    );
+    let error = dead.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("placement.pl"), "{error}");
+    let none = request(&addr, "GET", &format!("/jobs/{id}/placement"), "").unwrap();
+    assert_eq!(none.status, 404);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
 #[test]
 fn deadline_returns_legal_best_so_far_instead_of_killing() {
     let (mut server, addr, state_dir) = start("deadline", |c| c.workers = 1);
