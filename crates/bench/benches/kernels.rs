@@ -89,7 +89,6 @@ fn bench_coarse_batch_pricing(c: &mut Criterion) {
                         &chip,
                         config.coarse_target_region_bins,
                         &mut rng,
-                        &mut StageRun::default(),
                     ))
                 })
             },

@@ -12,7 +12,6 @@ USAGE:
             [--seed N] [--starts N] [--threads N] [--units METERS_PER_UNIT]
             [--coarse-shift-iterations N]
             [--thermal-precond P] [--mg-levels N]
-            [--thermal-tier STAGE=TIER]...
             [--out DIR] [--svg FILE.svg] [--trace-out FILE.jsonl]
             [--time-budget SECONDS] [--checkpoint-dir DIR]
             [--no-preflight] [--inject-fault KIND[:SITE]]...
@@ -41,15 +40,6 @@ USAGE:
                      iteration counts) or jacobi (the flat baseline)
   --mg-levels N      cap the multigrid hierarchy depth (default 0 = coarsen
                      automatically until the lateral grid is trivial)
-  --thermal-tier STAGE=TIER
-                     (place) pick the thermal-oracle tier one pipeline
-                     site queries; STAGE is one of global, coarse,
-                     detail, final and TIER is full-grid (the default
-                     everywhere) or compact (the fitted analytical
-                     model; with --alpha-temp > 0 the coarse/detail
-                     sites also price individual moves against it); may
-                     repeat. Non-full-grid stage solves record their
-                     error against the full-grid reference in the trace
   --scenario S       (sweep) alpha-ilv (default: trace the wirelength/via
                      tradeoff) or stacks (place onto named heterogeneous
                      layer stacks and tabulate the thermal impact)
@@ -211,8 +201,6 @@ pub struct PlaceArgs {
     pub thermal_precond: String,
     /// Multigrid hierarchy depth cap (0 = automatic).
     pub mg_levels: usize,
-    /// `STAGE=TIER` thermal-tier overrides (validated in the command).
-    pub thermal_tiers: Vec<String>,
     /// Output directory for the placed design (omitted = metrics only).
     pub out: Option<String>,
     /// Path for an SVG rendering of the placement (omitted = none).
@@ -337,7 +325,6 @@ fn parse_place(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseAr
         coarse_shift_iterations: None,
         thermal_precond: "multigrid".to_string(),
         mg_levels: 0,
-        thermal_tiers: Vec::new(),
         out: None,
         svg: None,
         trace_out: None,
@@ -366,7 +353,6 @@ fn parse_place(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseAr
             }
             "--thermal-precond" => args.thermal_precond = parse_precond(take_value(token, it)?)?,
             "--mg-levels" => args.mg_levels = parse_num(token, take_value(token, it)?)?,
-            "--thermal-tier" => args.thermal_tiers.push(take_value(token, it)?.to_string()),
             "--out" => args.out = Some(take_value(token, it)?.to_string()),
             "--svg" => args.svg = Some(take_value(token, it)?.to_string()),
             "--trace-out" => args.trace_out = Some(take_value(token, it)?.to_string()),
@@ -677,21 +663,12 @@ mod tests {
     }
 
     #[test]
-    fn thermal_tier_flags_accumulate() {
-        let Command::Place(a) = parse(&argv(
-            "place d.aux --thermal-tier coarse=compact --thermal-tier global=full-grid",
-        ))
-        .unwrap() else {
-            panic!("expected place")
-        };
-        assert_eq!(a.thermal_tiers, ["coarse=compact", "global=full-grid"]);
-
-        let Command::Place(d) = parse(&argv("place d.aux")).unwrap() else {
-            panic!()
-        };
+    fn thermal_tier_flag_is_unknown() {
+        let e = parse(&argv("place d.aux --thermal-tier coarse=compact")).unwrap_err();
         assert!(
-            d.thermal_tiers.is_empty(),
-            "full-grid everywhere by default"
+            e.to_string()
+                .contains("unknown flag `--thermal-tier` for `place`"),
+            "{e}"
         );
     }
 

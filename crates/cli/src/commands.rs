@@ -7,7 +7,7 @@ use tvp_bookshelf::synth::SynthConfig;
 use tvp_bookshelf::{Design, DesignBuilderOptions};
 use tvp_core::{
     FaultKind, FaultPlan, JsonlObserver, LayerSpec, PlaceOptions, Placer, PlacerConfig,
-    PlacerObserver, Preconditioner, ThermalTier, ValidateOptions,
+    PlacerObserver, Preconditioner, ValidateOptions,
 };
 use tvp_netlist::CellId;
 
@@ -39,30 +39,6 @@ fn degradation_suffix(result: &tvp_core::PlacementResult) -> String {
     }
 }
 
-/// Parses one `--thermal-tier` spec (`STAGE=TIER`, e.g.
-/// `coarse=compact`).
-fn parse_tier_spec(spec: &str) -> Result<(&str, ThermalTier), String> {
-    let Some((stage, tier_str)) = spec.split_once('=') else {
-        return Err(format!(
-            "--thermal-tier expects STAGE=TIER, got `{spec}` \
-             (e.g. coarse=compact)"
-        ));
-    };
-    if !matches!(stage, "global" | "coarse" | "detail" | "final") {
-        return Err(format!(
-            "unknown thermal-tier stage `{stage}` (expected global, coarse, \
-             detail, or final)"
-        ));
-    }
-    let tier = ThermalTier::parse(tier_str).ok_or_else(|| {
-        format!(
-            "unknown thermal tier `{tier_str}` (expected full-grid or \
-             compact)"
-        )
-    })?;
-    Ok((stage, tier))
-}
-
 /// `tvp place`: load, place, report, optionally write back.
 ///
 /// # Errors
@@ -83,10 +59,6 @@ pub fn place(args: &PlaceArgs) -> Result<String, String> {
         .with_thermal_precond(precond_from_args(&args.thermal_precond, args.mg_levels));
     if let Some(cap) = args.coarse_shift_iterations {
         config = config.with_coarse_shift_iterations(cap);
-    }
-    for spec in &args.thermal_tiers {
-        let (stage, tier) = parse_tier_spec(spec)?;
-        config = config.with_thermal_tier(stage, tier);
     }
 
     // Seed fixed cells (pads/macros) from the input `.pl` when present.
@@ -794,36 +766,6 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("quality: WL ="));
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn thermal_tier_flags_route_the_oracle_and_reject_bad_specs() {
-        let dir = tmp("tier");
-        run(&argv(&format!("synth t --cells 80 --out {dir}"))).unwrap();
-
-        let out = run(&argv(&format!(
-            "place {dir}/t.aux --layers 2 --alpha-temp 1e-4 \
-             --thermal-tier global=compact --thermal-tier coarse=compact \
-             --thermal-tier detail=compact"
-        )))
-        .unwrap();
-        assert!(out.contains("quality: WL ="), "{out}");
-
-        let err = run(&argv(&format!(
-            "place {dir}/t.aux --thermal-tier warmup=compact"
-        )))
-        .unwrap_err();
-        assert!(err.contains("unknown thermal-tier stage"), "{err}");
-
-        for tier in ["quantum", "coarse-grid"] {
-            let err = run(&argv(&format!(
-                "place {dir}/t.aux --thermal-tier coarse={tier}"
-            )))
-            .unwrap_err();
-            assert!(err.contains("unknown thermal tier"), "{err}");
-        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

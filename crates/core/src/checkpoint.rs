@@ -10,14 +10,14 @@
 //! exactly, the resumed run finishes bitwise identical to an
 //! uninterrupted one.
 //!
-//! Both files are written crash-safely: content goes to a temp file in
-//! the same directory, is fsynced, then renamed over the target, so a
-//! crash mid-write can never leave a half-written checkpoint under the
-//! final name. The manifest additionally records an FNV-1a hash of the
-//! `.pl` bytes, so damage that slips past the atomic write (filesystem
-//! corruption, manual truncation, fault injection) is detected on
-//! resume: [`load_latest`] then *quarantines* the damaged files — renames
-//! them to `*.corrupt` — and reports
+//! Both files are written crash-safely by [`write_durable`]: content
+//! goes to a temp file in the same directory, is fsynced, then renamed
+//! over the target, so a crash mid-write can never leave a half-written
+//! checkpoint under the final name. The manifest additionally records
+//! an FNV-1a hash of the `.pl` bytes, so damage that slips past the
+//! atomic write (filesystem corruption, manual truncation, fault
+//! injection) is detected on resume: [`load_latest`] then *quarantines*
+//! the damaged files — renames them to `*.corrupt` — and reports
 //! [`CheckpointLoad::Quarantined`], letting the run restart fresh instead
 //! of failing or resuming from garbage.
 //!
@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use tvp_bookshelf::{parse_pl, write_pl, PlFile, PlRecord};
-use tvp_netlist::{CellId, Netlist};
+use tvp_netlist::{fnv1a, CellId, Netlist};
 
 /// Name of the manifest file inside a checkpoint directory.
 pub const MANIFEST_NAME: &str = "manifest.tvp";
@@ -90,15 +90,6 @@ fn ck_err(path: &Path, reason: impl Into<String>) -> PlaceError {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Fingerprint of everything that determines the placement trajectory:
 /// the full configuration (thread count normalized away) and the netlist
 /// shape. FNV-1a over the debug rendering — stability across *builds* is
@@ -113,32 +104,39 @@ pub fn fingerprint(netlist: &Netlist, config: &PlacerConfig) -> u64 {
         netlist.num_nets(),
         netlist.num_pins()
     );
-    fnv1a(text.as_bytes())
+    fnv1a(text.bytes())
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// flushed and fsynced, then renamed over the target. A crash at any
-/// point leaves either the old file or the new one, never a mix.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PlaceError> {
-    let tmp: PathBuf = {
-        let mut name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_else(|| "checkpoint".into());
-        name.push(".tmp");
-        path.with_file_name(name)
-    };
-    let result = (|| -> std::io::Result<()> {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
+/// Writes `bytes` to `path` durably: through a sibling `.tmp` file that
+/// is fsynced and then renamed over `path`, so a crash leaves the old
+/// file or the new one, never a truncated mix. The directory is synced
+/// after the rename where the platform allows it, so the new name
+/// survives a crash too. A failed write removes the `.tmp` file.
+///
+/// # Errors
+///
+/// Any I/O failure of the write, the fsync or the rename.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    match &written {
+        Ok(()) => {
+            if let Some(dir) = path.parent() {
+                let _ = std::fs::File::open(dir).and_then(|dir| dir.sync_all());
+            }
+        }
+        Err(_) => {
+            let _ = std::fs::remove_file(&tmp);
+        }
     }
-    result.map_err(|e| ck_err(path, e.to_string()))
+    written
 }
 
 /// Writes the checkpoint for stage `stage_index` and updates the
@@ -177,7 +175,7 @@ pub fn write_checkpoint(
     }
     let pl_bytes = write_pl(&file).into_bytes();
     let pl_path = dir.join(&pl_name);
-    write_atomic(&pl_path, &pl_bytes)?;
+    write_durable(&pl_path, &pl_bytes).map_err(|e| ck_err(&pl_path, e.to_string()))?;
 
     // The manifest is written second: a crash between the two writes
     // leaves the previous manifest intact and still consistent.
@@ -192,9 +190,11 @@ pub fn write_checkpoint(
          placement {pl_name}\n\
          placement_hash {:016x}\n",
         placement.len(),
-        fnv1a(&pl_bytes)
+        fnv1a(pl_bytes.iter().copied())
     );
-    write_atomic(&dir.join(MANIFEST_NAME), manifest.as_bytes())?;
+    let manifest_path = dir.join(MANIFEST_NAME);
+    write_durable(&manifest_path, manifest.as_bytes())
+        .map_err(|e| ck_err(&manifest_path, e.to_string()))?;
     Ok(pl_path.display().to_string())
 }
 
@@ -327,7 +327,7 @@ pub fn load_latest(
         Err(e) => return Err(ck_err(&pl_path, e.to_string())),
     };
     if let Some(expected) = parsed.pl_hash {
-        let actual = fnv1a(&pl_bytes);
+        let actual = fnv1a(pl_bytes.iter().copied());
         if actual != expected {
             return damaged(format!(
                 "{}: placement hash mismatch (expected {expected:016x}, got {actual:016x}; \

@@ -41,9 +41,8 @@ pub fn coarse_legalize_observed(
 /// bin density falls below the configured target.
 ///
 /// After every moves pass and every shifting pass and phase, `run`
-/// receives a [`PassEvent`] and may stop the stage at that boundary; an
-/// armed pricer adds the frozen-field thermal term to every move/swap
-/// candidate's delta (DESIGN.md §14). Returns the mesh in its final state
+/// receives a [`PassEvent`] and may stop the stage at that boundary.
+/// Returns the mesh in its final state
 /// (so detailed legalization can reuse the density information) plus
 /// whether the stage was interrupted.
 pub fn legalize(
@@ -71,9 +70,8 @@ pub fn legalize(
             chip,
             config.coarse_target_region_bins,
             &mut rng,
-            run,
         );
-        improved += moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng, run);
+        improved += moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng);
         if run
             .pass(PassEvent::CoarseMoves {
                 pass,
@@ -93,7 +91,7 @@ pub fn legalize(
     }
 
     // One final local cleanup now that densities are even.
-    let improved = moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng, run);
+    let improved = moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng);
     if run
         .pass(PassEvent::CoarseMoves {
             pass: config.coarse_move_passes,

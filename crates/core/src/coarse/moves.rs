@@ -24,8 +24,8 @@
 //! order, re-prices each against the live objective, and commits only
 //! still-improving actions. Proposals depend only on the snapshot and
 //! the chunking is a pure function of the batch length, so results are
-//! bitwise identical at every thread count. With the thermal term or an
-//! armed thermal pricer the passes fall back to the exact serial loop.
+//! bitwise identical at every thread count. With the thermal term
+//! (`alpha_temp > 0`) the passes run the exact serial loop.
 //!
 //! Every probe — the cell's own candidates, its swap partners' reverse
 //! legs (the measured cost center of phase A), and the optimal-region
@@ -34,9 +34,7 @@
 //! touches one of its nets (DESIGN.md §11, §17).
 
 use super::mesh::DensityMesh;
-use crate::engine::StageRun;
 use crate::objective::{FrozenPricer, IncrementalObjective};
-use crate::thermal_pricer::ThermalMovePricer;
 use crate::Chip;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -61,38 +59,23 @@ const PROPOSE_MIN_CHUNK: usize = 32;
 
 /// One pass of local moves/swaps over all movable cells (random order).
 /// Returns the number of improving actions executed.
-///
-/// When `run` carries a pricer (compact tier + `alpha_temp > 0`), every
-/// candidate's objective delta additionally carries the frozen-field
-/// thermal term and committed actions re-superpose the moved power
-/// (DESIGN.md §14). The pass reports no events.
 pub fn local_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
     chip: &Chip,
     rng: &mut SmallRng,
-    run: &mut StageRun<'_>,
 ) -> usize {
-    let mut pricer = run.pricer.as_deref_mut();
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
-    if pricer.is_none() && objective.frozen_pricer().is_some() {
+    if objective.frozen_pricer().is_some() {
         return batched_pass(objective, mesh, netlist, chip, &order, PassMode::Local);
     }
     let mut improved = 0;
     let mut candidates = Vec::with_capacity(27);
     for cell in order {
         local_candidates(mesh, cell, &mut candidates);
-        if try_best_action(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            cell,
-            &candidates,
-            pricer.as_deref_mut(),
-        ) {
+        if try_best_action(objective, mesh, netlist, chip, cell, &candidates) {
             improved += 1;
         }
     }
@@ -126,8 +109,7 @@ fn local_candidates(mesh: &DensityMesh, cell: CellId, out: &mut Vec<usize>) {
 }
 
 /// One pass of global moves/swaps toward each cell's optimal region.
-/// Returns the number of improving actions executed. `run`'s pricer
-/// prices moves as in [`local_pass`].
+/// Returns the number of improving actions executed.
 pub fn global_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -135,12 +117,10 @@ pub fn global_pass(
     chip: &Chip,
     region_bins: usize,
     rng: &mut SmallRng,
-    run: &mut StageRun<'_>,
 ) -> usize {
-    let mut pricer = run.pricer.as_deref_mut();
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
-    if pricer.is_none() && objective.frozen_pricer().is_some() {
+    if objective.frozen_pricer().is_some() {
         return batched_pass(
             objective,
             mesh,
@@ -160,15 +140,7 @@ pub fn global_pass(
         };
         let (ox, oy) = chip.clamp(ox, oy);
         global_candidates(mesh, ox, oy, region_bins, &mut candidates);
-        if try_best_action(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            cell,
-            &candidates,
-            pricer.as_deref_mut(),
-        ) {
+        if try_best_action(objective, mesh, netlist, chip, cell, &candidates) {
             improved += 1;
         }
     }
@@ -514,12 +486,6 @@ fn median(values: &mut [f64]) -> f64 {
 /// Prices a move to each candidate bin's center and a swap with the
 /// closest-area resident of each candidate bin; executes the best
 /// improving action. Returns whether anything was executed.
-///
-/// With an armed pricer, each candidate's delta additionally carries the
-/// frozen-field thermal term, and the executed action commits the moved
-/// power back into the cached field. Cell powers come from the
-/// incremental `cell_power` cache, which is maintained exactly when
-/// `alpha_temp > 0` — the condition under which a pricer exists at all.
 fn try_best_action(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -527,11 +493,9 @@ fn try_best_action(
     chip: &Chip,
     cell: CellId,
     candidates: &[usize],
-    mut pricer: Option<&mut ThermalMovePricer>,
 ) -> bool {
     let current_bin = mesh.bin_of(cell);
     let cell_area = netlist.cell(cell).area();
-    let current_pos = objective.placement().position(cell);
 
     enum Action {
         Move { x: f64, y: f64, layer: u16 },
@@ -546,10 +510,7 @@ fn try_best_action(
             if headroom >= 0.0 {
                 let (bx, by, layer) = mesh.bin_center(b);
                 let (bx, by) = chip.clamp(bx, by);
-                let mut delta = objective.delta_move(cell, bx, by, layer);
-                if let Some(p) = pricer.as_deref_mut() {
-                    delta += p.price(objective.cell_power(cell), current_pos, (bx, by, layer));
-                }
+                let delta = objective.delta_move(cell, bx, by, layer);
                 if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
                     best = Some((
                         delta,
@@ -574,15 +535,7 @@ fn try_best_action(
                     da.partial_cmp(&dc).unwrap_or(std::cmp::Ordering::Equal)
                 });
             if let Some(partner) = partner {
-                let mut delta = objective.delta_swap(cell, partner);
-                if let Some(p) = pricer.as_deref_mut() {
-                    delta += p.price_swap(
-                        objective.cell_power(cell),
-                        current_pos,
-                        objective.cell_power(partner),
-                        objective.placement().position(partner),
-                    );
-                }
+                let delta = objective.delta_swap(cell, partner);
                 if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
                     best = Some((delta, Action::Swap { with: partner }));
                 }
@@ -592,24 +545,16 @@ fn try_best_action(
 
     match best {
         Some((_, Action::Move { x, y, layer })) => {
-            let watts = objective.cell_power(cell);
             objective.apply_move(cell, x, y, layer);
             mesh.relocate(netlist, cell, x, y, layer);
-            if let Some(p) = pricer {
-                p.commit(watts, current_pos, (x, y, layer));
-            }
             true
         }
         Some((_, Action::Swap { with })) => {
             let pa = objective.placement().position(cell);
             let pb = objective.placement().position(with);
-            let (wa, wb) = (objective.cell_power(cell), objective.cell_power(with));
             objective.apply_swap(cell, with);
             mesh.relocate(netlist, cell, pb.0, pb.1, pb.2);
             mesh.relocate(netlist, with, pa.0, pa.1, pa.2);
-            if let Some(p) = pricer {
-                p.commit_swap(wa, pa, wb, pb);
-            }
             true
         }
         None => false,
@@ -656,10 +601,8 @@ mod tests {
         mesh.rebuild(&netlist, objective.placement());
         let before = objective.total();
         let mut rng = SmallRng::seed_from_u64(1);
-        let run = &mut StageRun::default();
-        let improved_global =
-            global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng, run);
-        let improved_local = local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng, run);
+        let improved_global = global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng);
+        let improved_local = local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng);
         assert!(
             improved_global + improved_local > 0,
             "random start must improve"
@@ -679,9 +622,8 @@ mod tests {
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
         let mut rng = SmallRng::seed_from_u64(2);
-        let run = &mut StageRun::default();
-        local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng, run);
-        global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng, run);
+        local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng);
+        global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng);
         // Every cell's registered bin matches its actual position.
         for (cell, x, y, layer) in objective.placement().iter() {
             if netlist.cell(cell).is_movable() {

@@ -2,7 +2,7 @@
 //! parameters.
 
 use crate::PlaceError;
-use tvp_thermal::{LayerSpec, LayerStack, Preconditioner, ThermalTier};
+use tvp_thermal::{LayerSpec, LayerStack, Preconditioner};
 
 /// Electrical technology parameters (Table 2, derived from the MIT-LL
 /// 0.18 µm 3D FD-SOI process and capacitance data of \[19\]).
@@ -128,71 +128,11 @@ pub struct PlacerConfig {
     /// automatic fallback when the hierarchy cannot be built
     /// (DESIGN.md §12).
     pub thermal_precond: Preconditioner,
-    /// Which thermal-oracle tier each pipeline site queries
-    /// (DESIGN.md §14). Full-grid everywhere by default.
-    pub thermal_tiers: ThermalTierPolicy,
     /// Per-layer material/thickness overrides for the evaluation thermal
     /// model (heterogeneous stacks). `None` (the default) uses the
     /// uniform [`LayerStack`] discretization; `Some` must hold exactly
     /// `num_layers` entries.
     pub stack_layers: Option<Vec<LayerSpec>>,
-}
-
-/// Which [`ThermalTier`] each pipeline site queries (DESIGN.md §14).
-///
-/// Defaults to the full-grid solver everywhere, which reproduces the
-/// historical pipeline bit for bit. Cheaper tiers trade accuracy for
-/// speed; every non-full-grid stage-boundary solve also runs the
-/// full-grid reference and records the cross-model error in its
-/// [`ThermalSnapshot`](crate::ThermalSnapshot).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ThermalTierPolicy {
-    /// Tier for the snapshot after global placement.
-    pub global: ThermalTier,
-    /// Tier for the snapshot after the first coarse round; when set to
-    /// [`ThermalTier::Compact`] (and `alpha_temp > 0`), coarse moves and
-    /// swaps are additionally priced per-move against the compact model's
-    /// cached field.
-    pub coarse: ThermalTier,
-    /// Tier for detailed legalization; when set to
-    /// [`ThermalTier::Compact`] (and `alpha_temp > 0`), refinement slides
-    /// and swaps are priced per-move against the compact model's cached
-    /// field.
-    pub detail: ThermalTier,
-    /// Tier for the final metrics evaluation.
-    pub final_eval: ThermalTier,
-}
-
-impl Default for ThermalTierPolicy {
-    fn default() -> Self {
-        Self {
-            global: ThermalTier::FullGrid,
-            coarse: ThermalTier::FullGrid,
-            detail: ThermalTier::FullGrid,
-            final_eval: ThermalTier::FullGrid,
-        }
-    }
-}
-
-impl ThermalTierPolicy {
-    /// Whether any site uses `tier` (decides which oracles the engine
-    /// must construct).
-    pub fn uses(&self, tier: ThermalTier) -> bool {
-        [self.global, self.coarse, self.detail, self.final_eval].contains(&tier)
-    }
-
-    /// Sets the tier of the named site (`global`, `coarse`, `detail`, or
-    /// `final`). Returns `false` for an unknown site name.
-    pub fn set(&mut self, site: &str, tier: ThermalTier) -> bool {
-        match site {
-            "global" => self.global = tier,
-            "coarse" => self.coarse = tier,
-            "detail" => self.detail = tier,
-            "final" => self.final_eval = tier,
-            _ => return false,
-        }
-        true
-    }
 }
 
 /// Cell-shifting bin-boundary rule (§4.1 ablation).
@@ -239,7 +179,6 @@ impl PlacerConfig {
             shift_strategy: ShiftStrategy::WholeRow,
             threads: 0,
             thermal_precond: Preconditioner::default(),
-            thermal_tiers: ThermalTierPolicy::default(),
             stack_layers: None,
         }
     }
@@ -284,19 +223,6 @@ impl PlacerConfig {
     /// Sets the evaluation thermal solver's CG preconditioner.
     pub fn with_thermal_precond(mut self, precond: Preconditioner) -> Self {
         self.thermal_precond = precond;
-        self
-    }
-
-    /// Sets the per-site thermal-oracle tier policy.
-    pub fn with_thermal_tiers(mut self, tiers: ThermalTierPolicy) -> Self {
-        self.thermal_tiers = tiers;
-        self
-    }
-
-    /// Sets one site of the thermal-tier policy (`global`, `coarse`,
-    /// `detail`, or `final`); unknown site names are ignored.
-    pub fn with_thermal_tier(mut self, site: &str, tier: ThermalTier) -> Self {
-        self.thermal_tiers.set(site, tier);
         self
     }
 
@@ -390,6 +316,19 @@ mod tests {
     }
 
     #[test]
+    fn thermal_tiers_default_to_full_grid_everywhere() {
+        // Every temperature the placer reports comes from one model: the
+        // finite-volume grid at `thermal_grid` over the uniform stack.
+        let c = PlacerConfig::new(4);
+        assert!(c.stack_layers.is_none());
+        let (nx, ny) = c.thermal_grid;
+        assert_eq!((nx, ny), (16, 16));
+        let sim = tvp_thermal::ThermalSimulator::new(c.stack, 1.0e-3, 1.0e-3, nx, ny).unwrap();
+        let oracle = tvp_thermal::GridOracle::full_grid(sim, c.thermal_precond);
+        assert_eq!(oracle.grid_dims(), (nx, ny, c.num_layers));
+    }
+
+    #[test]
     fn power_prefactor() {
         let t = TechnologyParams::default();
         assert!((t.power_prefactor() - 0.5 * 1.0e9 * 1.8 * 1.8).abs() < 1.0);
@@ -437,35 +376,6 @@ mod tests {
         assert_eq!(c.shift_strategy, ShiftStrategy::WholeRow);
         assert_eq!(ShiftStrategy::default(), ShiftStrategy::WholeRow);
         assert_eq!(c.legal_refine_passes, 2);
-    }
-
-    #[test]
-    fn thermal_tiers_default_to_full_grid_everywhere() {
-        let c = PlacerConfig::new(4);
-        let p = c.thermal_tiers;
-        assert_eq!(p.global, ThermalTier::FullGrid);
-        assert_eq!(p.coarse, ThermalTier::FullGrid);
-        assert_eq!(p.detail, ThermalTier::FullGrid);
-        assert_eq!(p.final_eval, ThermalTier::FullGrid);
-        assert!(p.uses(ThermalTier::FullGrid));
-        assert!(!p.uses(ThermalTier::Compact));
-        assert!(c.stack_layers.is_none());
-    }
-
-    #[test]
-    fn tier_policy_sets_by_site_name() {
-        let mut p = ThermalTierPolicy::default();
-        assert!(p.set("coarse", ThermalTier::Compact));
-        assert!(p.set("final", ThermalTier::Compact));
-        assert!(!p.set("bogus", ThermalTier::Compact));
-        assert_eq!(p.coarse, ThermalTier::Compact);
-        assert_eq!(p.final_eval, ThermalTier::Compact);
-        assert!(p.uses(ThermalTier::Compact));
-
-        let c = PlacerConfig::new(2)
-            .with_thermal_tier("detail", ThermalTier::Compact)
-            .with_thermal_tiers(p);
-        assert_eq!(c.thermal_tiers, p, "with_thermal_tiers replaces the policy");
     }
 
     #[test]

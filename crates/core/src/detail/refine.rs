@@ -15,7 +15,6 @@
 use crate::engine::StageRun;
 use crate::objective::{CellMove, IncrementalObjective};
 use crate::observer::PassEvent;
-use crate::thermal_pricer::ThermalMovePricer;
 use crate::Chip;
 use tvp_netlist::{CellId, Netlist};
 
@@ -94,10 +93,8 @@ pub fn refine_legal(
 ///
 /// After every pass `run` receives a [`PassEvent::RefinePass`] and may
 /// stop refinement there; every move preserves legality, so stopping
-/// between passes is always safe. An armed pricer (compact tier +
-/// `alpha_temp > 0`) adds the frozen-field thermal term to every slide
-/// and swap candidate's delta (DESIGN.md §14). Returns the stats plus
-/// whether refinement was interrupted.
+/// between passes is always safe. Returns the stats plus whether
+/// refinement was interrupted.
 pub fn refine(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
@@ -110,13 +107,7 @@ pub fn refine(
     for pass in 0..passes {
         let before_pass = objective.total();
         let mut rows = Rows::build(objective, netlist, chip);
-        let round_improved = refine_round(
-            objective,
-            chip,
-            &mut rows,
-            &mut stats,
-            run.pricer.as_deref_mut(),
-        );
+        let round_improved = refine_round(objective, chip, &mut rows, &mut stats);
         stats.improvement += before_pass - objective.total();
         let converged = !round_improved || stats.improvement < EPS;
         if run
@@ -142,7 +133,6 @@ fn refine_round(
     chip: &Chip,
     rows: &mut Rows,
     stats: &mut RefineStats,
-    mut pricer: Option<&mut ThermalMovePricer>,
 ) -> bool {
     const EPS: f64 = 1e-18;
     let mut improved = false;
@@ -159,29 +149,17 @@ fn refine_round(
                 //    linear in x, so an endpoint (or staying put) is
                 //    optimal.
                 let (lo, hi) = rows.slack(layer, row, i, chip);
-                let cur_pos = objective.placement().position(cell);
                 let mut best: Option<(f64, f64)> = None; // (delta, new_left)
                 for cand in [lo, hi] {
                     if (cand - x_left).abs() > 1e-15 && cand >= -1e-12 {
-                        let mut delta = objective.delta_move(cell, center(cand), yc, layer as u16);
-                        if let Some(p) = pricer.as_deref_mut() {
-                            delta += p.price(
-                                objective.cell_power(cell),
-                                cur_pos,
-                                (center(cand), yc, layer as u16),
-                            );
-                        }
+                        let delta = objective.delta_move(cell, center(cand), yc, layer as u16);
                         if delta < best.map_or(-EPS, |(d, _)| d) {
                             best = Some((delta, cand));
                         }
                     }
                 }
                 if let Some((_, new_left)) = best {
-                    let watts = objective.cell_power(cell);
                     objective.apply_move(cell, center(new_left), yc, layer as u16);
-                    if let Some(p) = pricer.as_deref_mut() {
-                        p.commit(watts, cur_pos, (center(new_left), yc, layer as u16));
-                    }
                     rows.cells[layer][row][i].0 = new_left;
                     stats.slides += 1;
                     improved = true;
@@ -211,28 +189,8 @@ fn refine_round(
                             layer: layer as u16,
                         },
                     ];
-                    let mut delta = objective.delta_moves(&pair);
-                    let pos_a = objective.placement().position(a);
-                    let pos_b = objective.placement().position(b);
-                    if let Some(p) = pricer.as_deref_mut() {
-                        delta += p.price(
-                            objective.cell_power(b),
-                            pos_b,
-                            (pair[0].x, pair[0].y, pair[0].layer),
-                        );
-                        delta += p.price(
-                            objective.cell_power(a),
-                            pos_a,
-                            (pair[1].x, pair[1].y, pair[1].layer),
-                        );
-                    }
-                    if delta < -EPS {
-                        let (wa, wb) = (objective.cell_power(a), objective.cell_power(b));
+                    if objective.delta_moves(&pair) < -EPS {
                         objective.apply_moves(&pair);
-                        if let Some(p) = pricer.as_deref_mut() {
-                            p.commit(wb, pos_b, (pair[0].x, pair[0].y, pair[0].layer));
-                            p.commit(wa, pos_a, (pair[1].x, pair[1].y, pair[1].layer));
-                        }
                         rows.cells[layer][row][i] = (span_left, bw, b);
                         rows.cells[layer][row][i + 1] = (span_left + bw, aw, a);
                         stats.swaps += 1;

@@ -3,8 +3,8 @@
 //! §9).
 //!
 //! A plan is a list of [`StageKind`]s. The driver runs each stage through
-//! its one entry point, handing it a [`StageRun`] (pass-event probe,
-//! mid-kernel stop, thermal move pricer), and owns everything
+//! its one entry point, handing it a [`StageRun`] (pass-event probe and
+//! mid-kernel stop), and owns everything
 //! cross-cutting: event emission ([`PlacerObserver`]), stop conditions
 //! (cancellation token + time budget, checked at stage/pass boundaries),
 //! per-stage timing (including per-round breakdown), thermal snapshots
@@ -17,7 +17,6 @@
 //! pre-engine pipeline.
 
 use crate::checkpoint::{self, CheckpointLoad};
-use crate::config::ThermalTierPolicy;
 use crate::control::StopCheck;
 use crate::detail::{check_legal, LegalizeStats};
 use crate::faults::{Degradation, FaultKind, FaultPlan};
@@ -25,16 +24,13 @@ use crate::metrics::{self, ThermalGuard};
 use crate::objective::{IncrementalObjective, ObjectiveModel};
 use crate::observer::{NopObserver, PassEvent, PlacerEvent, PlacerObserver};
 use crate::placer::{PlaceOptions, PlacementResult, RoundTiming, StageTimings, ThermalSnapshot};
-use crate::thermal_pricer::ThermalMovePricer;
 use crate::{coarse, detail, global, Chip, PlaceError, Placement, PlacerConfig};
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use tvp_netlist::{CellId, Netlist};
 use tvp_partition::StopFn;
-use tvp_thermal::{
-    CompactModel, GridOracle, TemperatureField, ThermalOracle, ThermalSimulator, ThermalTier,
-};
+use tvp_thermal::{GridOracle, ThermalSimulator};
 
 /// Wall-clock stall injected by [`FaultKind::SlowStage`] at the keyed
 /// stage's begin. Long enough that supervisors can observe (and kill) a
@@ -80,11 +76,9 @@ impl StageKind {
 /// [`moves::local_pass`](crate::coarse::moves::local_pass) and
 /// [`moves::global_pass`](crate::coarse::moves::global_pass)) needs
 /// besides the placement it transforms. The probe and the stop never
-/// change the moves a stage makes, only where it stops; the pricer adds
-/// its thermal term to every candidate's price.
+/// change the moves a stage makes, only where it stops.
 ///
-/// `StageRun::default()` is unobserved, never stops early, and prices
-/// moves by the objective alone.
+/// `StageRun::default()` is unobserved and never stops early.
 #[derive(Default)]
 pub struct StageRun<'r> {
     /// Receives each pass-boundary [`PassEvent`]; its answer is the
@@ -95,9 +89,6 @@ pub struct StageRun<'r> {
     /// FM passes. `None` when no stop condition is armed, so the hot
     /// loops skip the poll entirely.
     pub(crate) stop: Option<&'r StopFn>,
-    /// Per-move thermal pricer, present only when the stage's tier is
-    /// [`ThermalTier::Compact`] and `alpha_temp > 0` (DESIGN.md §14).
-    pub(crate) pricer: Option<&'r mut ThermalMovePricer>,
 }
 
 impl<'r> StageRun<'r> {
@@ -133,9 +124,6 @@ struct PlacerContext<'a> {
     /// Whether the current placement is row-legal (true right after a
     /// detail stage).
     legal: bool,
-    /// The compact-tier move pricer, built only when some legalization
-    /// tier is compact and `alpha_temp > 0`.
-    pricer: Option<ThermalMovePricer>,
     /// The run's fault plan, if one was attached (consumed as it fires).
     faults: Option<FaultPlan>,
     /// Every graceful degradation recorded so far.
@@ -207,22 +195,16 @@ fn flush_events(ctx: &mut PlacerContext<'_>, observer: &mut dyn PlacerObserver) 
 /// evaluator in `objective` (global fills the slot). Returns whether the
 /// stage stopped early at a cancellation point; `run_pipeline` then
 /// stops (after restoring legality if needed).
-///
-/// # Errors
-///
-/// [`PlaceError`] only for non-recoverable failures; cancellation is not
-/// an error.
 fn run_stage<'a>(
     kind: StageKind,
     ctx: &mut PlacerContext<'a>,
     objective: &mut Option<IncrementalObjective<'a>>,
     probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
     stop: Option<&StopFn>,
-) -> Result<bool, PlaceError> {
+) -> bool {
     let mut run = StageRun {
         probe: Some(probe),
         stop,
-        pricer: None,
     };
     match kind {
         StageKind::Global => {
@@ -249,24 +231,12 @@ fn run_stage<'a>(
             // now, from its placement.
             *objective = Some(IncrementalObjective::new(ctx.netlist, ctx.model, placement));
             ctx.legal = false;
-            Ok(interrupted)
+            interrupted
         }
         StageKind::Coarse { .. } => {
             ctx.legal = false;
             let objective = ctx.evaluator(objective);
-            // The frozen field is re-grounded on the placement the stage
-            // starts from.
-            run.pricer = refreshed_pricer(
-                &mut ctx.pricer,
-                ctx.config.thermal_tiers.coarse,
-                ctx.netlist,
-                ctx.chip,
-                ctx.model,
-                objective,
-            )?;
-            let (_, interrupted) =
-                coarse::legalize(objective, ctx.netlist, ctx.chip, ctx.config, &mut run);
-            Ok(interrupted)
+            coarse::legalize(objective, ctx.netlist, ctx.chip, ctx.config, &mut run).1
         }
         StageKind::Detail { .. } => {
             // Legalization itself never stops early: it is the step that
@@ -280,110 +250,36 @@ fn run_stage<'a>(
                 &mut run,
             );
             ctx.legal = true;
-            // Refinement's field is refreshed *after* legalization,
-            // because snapping moved every cell.
-            run.pricer = refreshed_pricer(
-                &mut ctx.pricer,
-                ctx.config.thermal_tiers.detail,
-                ctx.netlist,
-                ctx.chip,
-                ctx.model,
-                objective,
-            )?;
-            let (_, interrupted) = detail::refine(
+            detail::refine(
                 objective,
                 ctx.netlist,
                 ctx.chip,
                 ctx.config.legal_refine_passes,
                 &mut run,
-            );
-            Ok(interrupted)
+            )
+            .1
         }
     }
 }
 
-/// The run's move pricer, re-grounded on the current placement, when the
-/// stage's `tier` is compact and a pricer exists; `None` otherwise.
-fn refreshed_pricer<'p>(
-    pricer: &'p mut Option<ThermalMovePricer>,
-    tier: ThermalTier,
-    netlist: &Netlist,
-    chip: &Chip,
-    model: &ObjectiveModel,
-    objective: &IncrementalObjective<'_>,
-) -> Result<Option<&'p mut ThermalMovePricer>, PlaceError> {
-    match pricer {
-        Some(pricer) if tier == ThermalTier::Compact => {
-            pricer.refresh(netlist, chip, model, objective)?;
-            Ok(Some(pricer))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// The run's thermal-oracle bank (DESIGN.md §14): one oracle per tier
-/// the configured [`ThermalTierPolicy`] actually uses. The full-grid
-/// oracle always exists — it is the default tier and the reference every
-/// cross-model error is measured against. The compact model is fitted
-/// only on demand, so the default (all-full-grid) policy constructs
-/// exactly the historical simulator + context pair and nothing else.
-struct ThermalOracles {
-    tiers: ThermalTierPolicy,
-    full: GridOracle,
-    compact: Option<CompactModel>,
-}
-
-impl ThermalOracles {
-    fn build(config: &PlacerConfig, chip: &Chip) -> Result<Self, PlaceError> {
-        let tiers = config.thermal_tiers;
-        let (nx, ny) = config.thermal_grid;
-        let make_sim = |nx: usize, ny: usize| match &config.stack_layers {
-            Some(layers) => ThermalSimulator::with_layers(
-                chip.stack,
-                layers.clone(),
-                chip.width,
-                chip.depth,
-                nx,
-                ny,
-            ),
-            None => ThermalSimulator::new(chip.stack, chip.width, chip.depth, nx, ny),
-        };
-        let full = GridOracle::full_grid(make_sim(nx, ny)?, config.thermal_precond);
-        let compact = if tiers.uses(ThermalTier::Compact) {
-            // The compact model is fitted in-tree against the multigrid
-            // solver at a bounded resolution: kernel superposition is
-            // O(grid²) per evaluation, and 16×16 bins already resolve
-            // the lateral spreading the kernels model.
-            let sim = make_sim(nx.clamp(2, 16), ny.clamp(2, 16))?;
-            let (model, _report) = CompactModel::fit(&sim, config.thermal_precond)?;
-            Some(model)
-        } else {
-            None
-        };
-        Ok(Self {
-            tiers,
-            full,
-            compact,
-        })
-    }
-
-    /// The tier the policy assigns to a snapshot site.
-    fn tier_for(&self, stage: &str) -> ThermalTier {
-        match stage {
-            "global" => self.tiers.global,
-            "coarse" => self.tiers.coarse,
-            _ => self.tiers.final_eval,
-        }
-    }
-
-    /// The oracle for `tier`, falling back to full-grid when the compact
-    /// model was not built (the policy never requested it).
-    fn oracle(&mut self, tier: ThermalTier) -> &mut dyn ThermalOracle {
-        match (tier, self.compact.as_mut()) {
-            (ThermalTier::Compact, Some(compact)) => compact,
-            _ => &mut self.full,
-        }
-    }
+/// The run's thermal oracle: the evaluation-resolution simulator (with
+/// the configured per-layer stack, if any) behind one warm-started CG
+/// context. The preconditioner hierarchy is built once, and each
+/// stage-boundary solve warm-starts from the previous one's field.
+fn grid_oracle(config: &PlacerConfig, chip: &Chip) -> Result<GridOracle, PlaceError> {
+    let (nx, ny) = config.thermal_grid;
+    let sim = match &config.stack_layers {
+        Some(layers) => ThermalSimulator::with_layers(
+            chip.stack,
+            layers.clone(),
+            chip.width,
+            chip.depth,
+            nx,
+            ny,
+        ),
+        None => ThermalSimulator::new(chip.stack, chip.width, chip.depth, nx, ny),
+    }?;
+    Ok(GridOracle::full_grid(sim, config.thermal_precond))
 }
 
 /// Builds the default §6 stage plan for a configuration: `global`, then
@@ -408,23 +304,7 @@ pub(crate) fn run_pipeline(
     let chip = Chip::from_netlist(netlist, config)?;
     let model = ObjectiveModel::new(netlist, &chip, config)?;
 
-    // One oracle bank for every thermal evaluation of this run: the
-    // full-grid oracle owns the historical simulator + warm-started CG
-    // context (the preconditioner hierarchy is built once, and each
-    // stage's solve warm-starts from the previous stage's field); the
-    // compact model exists only when the tier policy queries it.
-    let mut oracles = ThermalOracles::build(config, &chip)?;
-    let pricer = if config.alpha_temp > 0.0
-        && (config.thermal_tiers.coarse == ThermalTier::Compact
-            || config.thermal_tiers.detail == ThermalTier::Compact)
-    {
-        oracles
-            .compact
-            .clone()
-            .map(|model| ThermalMovePricer::new(model, config.alpha_temp))
-    } else {
-        None
-    };
+    let mut oracle = grid_oracle(config, &chip)?;
     let mut trajectory: Vec<ThermalSnapshot> = Vec::new();
 
     let stages = default_stage_plan(config);
@@ -481,7 +361,6 @@ pub(crate) fn run_pipeline(
         fixed_positions,
         legalize: LegalizeStats::default(),
         legal,
-        pricer,
         faults: options.faults.take(),
         degradations: Vec::new(),
         pending_events: Vec::new(),
@@ -559,7 +438,7 @@ pub(crate) fn run_pipeline(
                     ControlFlow::Continue(())
                 }
             };
-            run_stage(kind, &mut ctx, &mut objective, &mut probe, kernel_stop)?
+            run_stage(kind, &mut ctx, &mut objective, &mut probe, kernel_stop)
         };
         flush_events(&mut ctx, observer);
         let elapsed = t.elapsed();
@@ -602,7 +481,7 @@ pub(crate) fn run_pipeline(
                 label,
                 &mut ctx,
                 evaluator,
-                &mut oracles,
+                &mut oracle,
                 &mut trajectory,
                 observer,
             )?;
@@ -706,34 +585,23 @@ pub(crate) fn run_pipeline(
         inject_nan: ctx.fire_fault(FaultKind::NanPower, "final"),
         inject_cg_failure: ctx.fire_fault(FaultKind::CgBreakdown, "final"),
     };
-    let final_tier = oracles.tier_for("final");
-    let (metrics, outcome, field) = metrics::compute_with_guarded(
-        netlist,
-        &chip,
-        &model,
-        &objective,
-        oracles.oracle(final_tier),
-        guard,
-    )?;
+    let (metrics, outcome) =
+        metrics::compute_with_guarded(netlist, &chip, &model, &objective, &mut oracle, guard)?;
     if outcome.degraded() {
         ctx.record_degradation(Degradation::ThermalDegraded {
             stage: "final".to_string(),
             detail: outcome.describe(),
         });
     }
-    let (cross_max, cross_avg) = cross_errors(&ctx, &objective, &mut oracles, final_tier, &field)?;
     flush_events(&mut ctx, observer);
     let final_snapshot = ThermalSnapshot {
         stage: "final",
-        tier: final_tier.as_str(),
         avg_temperature: metrics.avg_temperature,
         max_temperature: metrics.max_temperature,
         cg_iterations: outcome.iterations(),
         warm_started: outcome.warm_started(),
         preconditioner: outcome.preconditioner(),
         initial_residual: outcome.initial_residual(),
-        cross_model_max_error: cross_max,
-        cross_model_avg_error: cross_avg,
     };
     trajectory.push(final_snapshot);
     if observer.enabled() {
@@ -772,16 +640,14 @@ fn grow_rounds(rounds: &mut Vec<RoundTiming>, round: usize) -> &mut RoundTiming 
     &mut rounds[round]
 }
 
-/// Solves the thermal field of the current placement through the tier
-/// the policy assigns to this site (hardened: NaN power is sanitized, a
-/// CG breakdown falls back to damped Jacobi), appends the outcome —
-/// including the cross-model error against the full-grid reference when
-/// a cheaper tier answered — to the trajectory, and reports it.
+/// Solves the thermal field of the current placement (hardened: NaN
+/// power is sanitized, a CG breakdown falls back to damped Jacobi),
+/// appends the outcome to the trajectory, and reports it.
 fn snapshot(
     stage: &'static str,
     ctx: &mut PlacerContext<'_>,
     objective: &IncrementalObjective<'_>,
-    oracles: &mut ThermalOracles,
+    oracle: &mut GridOracle,
     trajectory: &mut Vec<ThermalSnapshot>,
     observer: &mut dyn PlacerObserver,
 ) -> Result<(), PlaceError> {
@@ -789,15 +655,8 @@ fn snapshot(
         inject_nan: ctx.fire_fault(FaultKind::NanPower, stage),
         inject_cg_failure: ctx.fire_fault(FaultKind::CgBreakdown, stage),
     };
-    let tier = oracles.tier_for(stage);
-    let (field, outcome) = metrics::solve_field(
-        ctx.netlist,
-        ctx.chip,
-        ctx.model,
-        objective,
-        oracles.oracle(tier),
-        guard,
-    )?;
+    let (field, outcome) =
+        metrics::solve_field(ctx.netlist, ctx.chip, ctx.model, objective, oracle, guard)?;
     if outcome.degraded() {
         ctx.record_degradation(Degradation::ThermalDegraded {
             stage: stage.to_string(),
@@ -805,53 +664,20 @@ fn snapshot(
         });
     }
     let (avg, max) = metrics::sample_cells(ctx.chip, objective, &field);
-    let (cross_max, cross_avg) = cross_errors(ctx, objective, oracles, tier, &field)?;
     let snap = ThermalSnapshot {
         stage,
-        tier: tier.as_str(),
         avg_temperature: avg,
         max_temperature: max,
         cg_iterations: outcome.iterations(),
         warm_started: outcome.warm_started(),
         preconditioner: outcome.preconditioner(),
         initial_residual: outcome.initial_residual(),
-        cross_model_max_error: cross_max,
-        cross_model_avg_error: cross_avg,
     };
     trajectory.push(snap);
     if observer.enabled() {
         observer.event(&PlacerEvent::ThermalSolved { snapshot: snap });
     }
     Ok(())
-}
-
-/// The `(max, avg)` absolute cross-model temperature error of `field`
-/// against a fresh full-grid reference solve of the same placement.
-/// `(NaN, NaN)` when the full grid itself answered — there is nothing to
-/// compare, and `NaN` renders as `null` in trace events. The reference
-/// solve runs unguarded: it is never the quantity under test, and on the
-/// default (all-full-grid) policy this function never solves at all.
-fn cross_errors(
-    ctx: &PlacerContext<'_>,
-    objective: &IncrementalObjective<'_>,
-    oracles: &mut ThermalOracles,
-    tier: ThermalTier,
-    field: &TemperatureField,
-) -> Result<(f64, f64), PlaceError> {
-    if tier == ThermalTier::FullGrid {
-        return Ok((f64::NAN, f64::NAN));
-    }
-    let (reference, _) = metrics::solve_field(
-        ctx.netlist,
-        ctx.chip,
-        ctx.model,
-        objective,
-        &mut oracles.full,
-        ThermalGuard::default(),
-    )?;
-    Ok(metrics::cross_model_error(
-        ctx.chip, objective, field, &reference,
-    ))
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@
 //! [`PlacerEvent::Degraded`](crate::PlacerEvent).
 
 use std::fmt;
+use tvp_netlist::fnv1a;
 
 /// One injectable fault class.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -210,21 +211,12 @@ impl FaultPlan {
 
 /// FNV-1a over the seed, kind, and site label.
 fn site_hash(seed: u64, kind: FaultKind, site: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in seed.to_le_bytes() {
-        eat(b);
-    }
-    for b in kind.as_str().bytes() {
-        eat(b);
-    }
-    for b in site.bytes() {
-        eat(b);
-    }
-    hash
+    fnv1a(
+        seed.to_le_bytes()
+            .into_iter()
+            .chain(kind.as_str().bytes())
+            .chain(site.bytes()),
+    )
 }
 
 fn arm_threshold(probability: f64) -> u64 {

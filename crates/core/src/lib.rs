@@ -55,12 +55,11 @@ pub mod observer;
 pub mod placement;
 mod placer;
 pub mod power;
-mod thermal_pricer;
 pub mod trr;
 pub mod validate;
 
 pub use chip::Chip;
-pub use config::{PlacerConfig, ShiftStrategy, TechnologyParams, ThermalTierPolicy};
+pub use config::{PlacerConfig, ShiftStrategy, TechnologyParams};
 pub use control::CancelToken;
 pub use engine::{StageKind, StageRun};
 pub use error::PlaceError;
@@ -74,7 +73,7 @@ pub use placement::Placement;
 pub use placer::{
     PlaceOptions, PlacementResult, Placer, RoundTiming, StageTimings, ThermalSnapshot,
 };
-pub use tvp_thermal::{LayerSpec, PrecondKind, Preconditioner, ThermalTier};
+pub use tvp_thermal::{LayerSpec, PrecondKind, Preconditioner};
 pub use validate::{
     repair, validate, Diagnostic, DiagnosticCode, RepairAction, Severity, ValidateOptions,
     ValidationReport,

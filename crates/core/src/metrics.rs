@@ -6,7 +6,7 @@ use crate::{Chip, PlaceError};
 use std::fmt;
 use tvp_netlist::Netlist;
 use tvp_thermal::{
-    CgStats, FallbackStats, GridOracle, PowerMap, Preconditioner, TemperatureField, ThermalOracle,
+    CgStats, FallbackStats, GridOracle, PowerMap, Preconditioner, TemperatureField,
     ThermalSimulator,
 };
 
@@ -68,10 +68,9 @@ pub fn compute(
     compute_with(netlist, chip, model, objective, &mut oracle)
 }
 
-/// [`compute`] through a caller-owned [`ThermalOracle`], so a placement
+/// [`compute`] through a caller-owned [`GridOracle`], so a placement
 /// loop that evaluates temperature repeatedly reuses the oracle's cached
-/// state (preconditioner setup and CG warm starts for the grid-backed
-/// tiers) and controls the accuracy/speed tier.
+/// state (preconditioner setup and CG warm starts).
 ///
 /// # Errors
 ///
@@ -81,7 +80,7 @@ pub fn compute_with(
     chip: &Chip,
     model: &ObjectiveModel,
     objective: &IncrementalObjective<'_>,
-    oracle: &mut dyn ThermalOracle,
+    oracle: &mut GridOracle,
 ) -> Result<PlacementMetrics, PlaceError> {
     compute_with_guarded(
         netlist,
@@ -91,20 +90,19 @@ pub fn compute_with(
         oracle,
         ThermalGuard::default(),
     )
-    .map(|(metrics, _, _)| metrics)
+    .map(|(metrics, _)| metrics)
 }
 
-/// [`compute_with`] plus the [`ThermalOutcome`] and the solved field, so
-/// the engine can record degradations, inject faults, and compare the
-/// field against the full-grid reference.
+/// [`compute_with`] plus the [`ThermalOutcome`], so the engine can
+/// inject faults and record degradations.
 pub(crate) fn compute_with_guarded(
     netlist: &Netlist,
     chip: &Chip,
     model: &ObjectiveModel,
     objective: &IncrementalObjective<'_>,
-    oracle: &mut dyn ThermalOracle,
+    oracle: &mut GridOracle,
     guard: ThermalGuard,
-) -> Result<(PlacementMetrics, ThermalOutcome, TemperatureField), PlaceError> {
+) -> Result<(PlacementMetrics, ThermalOutcome), PlaceError> {
     let wirelength = objective.total_wirelength();
     let ilv_count = objective.total_ilv();
     let total_power = objective.total_power();
@@ -130,7 +128,6 @@ pub(crate) fn compute_with_guarded(
             objective: objective.total(),
         },
         outcome,
-        field,
     ))
 }
 
@@ -213,15 +210,13 @@ impl ThermalOutcome {
 }
 
 /// Deposits each placed cell's Eq. 10 power into a power map matching
-/// `oracle`'s evaluation grid. Physical-coordinate addressing makes this
-/// resolution-agnostic: the same placement deposits consistently at full,
-/// coarse, or compact resolution.
-pub(crate) fn build_power_map(
+/// `oracle`'s evaluation grid.
+fn build_power_map(
     netlist: &Netlist,
     chip: &Chip,
     model: &ObjectiveModel,
     objective: &IncrementalObjective<'_>,
-    oracle: &dyn ThermalOracle,
+    oracle: &GridOracle,
 ) -> PowerMap {
     let (nx, ny, _) = oracle.grid_dims();
     let mut power_map = PowerMap::new(nx, ny, chip.num_layers);
@@ -245,8 +240,8 @@ pub(crate) fn build_power_map(
 }
 
 /// Solves the thermal field of the current placement through `oracle`
-/// (warm-starting from its previous solution on grid-backed tiers) and
-/// returns the field plus the solve's [`ThermalOutcome`].
+/// (warm-starting from its previous solution) and returns the field plus
+/// the solve's [`ThermalOutcome`].
 ///
 /// This is the hardened path every stage boundary uses: non-finite power
 /// deposits (injected or genuine) are zeroed before the solve, and a CG
@@ -259,7 +254,7 @@ pub(crate) fn solve_field(
     chip: &Chip,
     model: &ObjectiveModel,
     objective: &IncrementalObjective<'_>,
-    oracle: &mut dyn ThermalOracle,
+    oracle: &mut GridOracle,
     guard: ThermalGuard,
 ) -> Result<(TemperatureField, ThermalOutcome), PlaceError> {
     let mut power_map = build_power_map(netlist, chip, model, objective, oracle);
@@ -302,35 +297,6 @@ pub(crate) fn sample_cells(
         t_sum / n_cells as f64
     };
     (avg_temperature, field.max_temperature())
-}
-
-/// Per-cell `(max, avg)` absolute temperature difference between a
-/// cheaper tier's field and the full-grid reference. The fields may live
-/// on different grids, so the comparison samples both at each placed
-/// cell's physical position (the temperatures the objective actually
-/// consumes).
-pub(crate) fn cross_model_error(
-    chip: &Chip,
-    objective: &IncrementalObjective<'_>,
-    field: &TemperatureField,
-    reference: &TemperatureField,
-) -> (f64, f64) {
-    let mut max_err = 0.0f64;
-    let mut sum_err = 0.0f64;
-    let mut n_cells = 0usize;
-    for (_, x, y, layer) in objective.placement().iter() {
-        let t = field.sample(x, y, layer as usize, chip.width, chip.depth);
-        let r = reference.sample(x, y, layer as usize, chip.width, chip.depth);
-        let err = (t - r).abs();
-        max_err = max_err.max(err);
-        sum_err += err;
-        n_cells += 1;
-    }
-    if n_cells == 0 {
-        (0.0, 0.0)
-    } else {
-        (max_err, sum_err / n_cells as f64)
-    }
 }
 
 #[cfg(test)]
@@ -419,7 +385,7 @@ mod tests {
             },
         ] {
             let mut oracle = GridOracle::full_grid(sim.clone(), Preconditioner::default());
-            let (metrics, outcome, _field) =
+            let (metrics, outcome) =
                 compute_with_guarded(&netlist, &chip, &model, &objective, &mut oracle, guard)
                     .unwrap();
             assert!(outcome.degraded(), "{guard:?}");
@@ -437,63 +403,6 @@ mod tests {
                 (metrics.avg_temperature - clean.avg_temperature).abs() / clean.avg_temperature;
             assert!(rel < 0.75, "guard {guard:?} drifted {rel}");
         }
-    }
-
-    #[test]
-    fn compact_oracle_tracks_full_grid_through_solve_field() {
-        let (netlist, chip, config) = fixture();
-        let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let mut placement = Placement::centered(netlist.num_cells(), &chip);
-        for i in 0..netlist.num_cells() {
-            placement.set(
-                CellId::new(i),
-                (i as f64 / netlist.num_cells() as f64) * chip.width,
-                ((i * 7 % 13) as f64 / 13.0) * chip.depth,
-                (i % 4) as u16,
-            );
-        }
-        let objective = IncrementalObjective::new(&netlist, &model, placement);
-        let sim = ThermalSimulator::new(chip.stack, chip.width, chip.depth, 8, 8).unwrap();
-        let mut full = GridOracle::full_grid(sim.clone(), Preconditioner::default());
-        let (mut compact, report) =
-            tvp_thermal::CompactModel::fit(&sim, Preconditioner::default()).unwrap();
-        assert!(report.max_rel_error <= tvp_thermal::compact_params::CROSS_MODEL_GATE);
-
-        let (ref_field, _) = solve_field(
-            &netlist,
-            &chip,
-            &model,
-            &objective,
-            &mut full,
-            ThermalGuard::default(),
-        )
-        .unwrap();
-        let (field, outcome) = solve_field(
-            &netlist,
-            &chip,
-            &model,
-            &objective,
-            &mut compact,
-            ThermalGuard::default(),
-        )
-        .unwrap();
-        assert!(!outcome.degraded(), "compact tier has nothing to degrade");
-        assert_eq!(outcome.iterations(), 0);
-        assert_eq!(outcome.preconditioner(), "none");
-
-        let (max_err, avg_err) = cross_model_error(&chip, &objective, &field, &ref_field);
-        assert!(avg_err <= max_err);
-        let peak = (ref_field.max_temperature() - ref_field.ambient()).max(1e-30);
-        assert!(
-            max_err / peak < 0.35,
-            "compact field drifted {} of peak rise {peak}",
-            max_err / peak
-        );
-        // Self-comparison is exactly zero.
-        assert_eq!(
-            cross_model_error(&chip, &objective, &ref_field, &ref_field),
-            (0.0, 0.0)
-        );
     }
 
     #[test]

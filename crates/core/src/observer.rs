@@ -397,19 +397,16 @@ pub fn event_to_json(event: &PlacerEvent) -> String {
             json_f64(*objective)
         ),
         PlacerEvent::ThermalSolved { snapshot } => format!(
-            "{{\"event\":\"thermal\",\"stage\":\"{}\",\"tier\":\"{}\",\"avg_c\":{},\"max_c\":{},\
+            "{{\"event\":\"thermal\",\"stage\":\"{}\",\"avg_c\":{},\"max_c\":{},\
              \"cg_iterations\":{},\"warm_started\":{},\"preconditioner\":\"{}\",\
-             \"initial_residual\":{},\"cross_model_max_error\":{},\"cross_model_avg_error\":{}}}",
+             \"initial_residual\":{}}}",
             json_escape(snapshot.stage),
-            json_escape(snapshot.tier),
             json_f64(snapshot.avg_temperature),
             json_f64(snapshot.max_temperature),
             snapshot.cg_iterations,
             snapshot.warm_started,
             json_escape(snapshot.preconditioner),
-            json_f64(snapshot.initial_residual),
-            json_f64(snapshot.cross_model_max_error),
-            json_f64(snapshot.cross_model_avg_error)
+            json_f64(snapshot.initial_residual)
         ),
         PlacerEvent::CheckpointWritten { index, stage, path } => format!(
             "{{\"event\":\"checkpoint\",\"index\":{index},\"stage\":\"{}\",\"path\":\"{}\"}}",

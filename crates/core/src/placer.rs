@@ -48,43 +48,27 @@ pub struct StageTimings {
 
 /// Temperatures and thermal-solver effort at one pipeline stage boundary.
 ///
-/// Each snapshot records which oracle tier answered (DESIGN.md §14).
-/// Grid tiers solve through one shared CG context per oracle, so each
+/// Every snapshot solves through the run's one CG context, so each
 /// snapshot after the first warm-starts from the previous stage's field;
-/// `cg_iterations` records what that saved. When a cheaper tier than the
-/// full grid answered, `cross_model_max_error`/`cross_model_avg_error`
-/// hold its per-cell deviation from a fresh full-grid reference solve
-/// (NaN — rendered `null` in trace events — when the full grid itself
-/// answered and there is nothing to compare).
+/// `cg_iterations` records what that saved.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ThermalSnapshot {
     /// Pipeline stage this snapshot was taken after.
     pub stage: &'static str,
-    /// Oracle tier that produced the field (`"full-grid"` or
-    /// `"compact"`).
-    pub tier: &'static str,
     /// Mean cell temperature, °C.
     pub avg_temperature: f64,
     /// Maximum device temperature, °C.
     pub max_temperature: f64,
-    /// CG iterations the solve consumed (0 for the compact tier — it
-    /// never iterates).
+    /// CG iterations the solve consumed.
     pub cg_iterations: usize,
     /// Whether the solve warm-started from the previous stage's field.
     pub warm_started: bool,
-    /// Preconditioner that drove the solve (`"multigrid"`, `"jacobi"`,
-    /// `"damped-jacobi"` when CG gave way to the fallback, or `"none"`
-    /// for the compact tier).
+    /// Preconditioner that drove the solve (`"multigrid"`, `"jacobi"`, or
+    /// `"damped-jacobi"` when CG gave way to the fallback).
     pub preconditioner: &'static str,
     /// Relative residual of the starting vector (1 for a cold start;
     /// small values mean the warm start was already close).
     pub initial_residual: f64,
-    /// Maximum per-cell |ΔT| against the full-grid reference, K. NaN on
-    /// full-grid snapshots.
-    pub cross_model_max_error: f64,
-    /// Mean per-cell |ΔT| against the full-grid reference, K. NaN on
-    /// full-grid snapshots.
-    pub cross_model_avg_error: f64,
 }
 
 /// Everything the pipeline produces.
@@ -410,12 +394,6 @@ mod tests {
         assert_eq!(t.last().unwrap().stage, "final");
         assert!(!t[0].warm_started, "first solve is cold");
         assert!(t[1..].iter().all(|s| s.warm_started));
-        // The default tier policy answers everything from the full grid,
-        // so there is no cross-model reference to compare against.
-        assert!(t.iter().all(|s| s.tier == "full-grid"));
-        assert!(t
-            .iter()
-            .all(|s| s.cross_model_max_error.is_nan() && s.cross_model_avg_error.is_nan()));
         // Legalization rearranges the whole power map, so stage-boundary
         // warm starts are not guaranteed to *save* iterations (the small
         // per-move perturbation case is covered in tvp-thermal); they must
@@ -453,43 +431,6 @@ mod tests {
         let rel = (serial.metrics.avg_temperature - parallel.metrics.avg_temperature).abs()
             / serial.metrics.avg_temperature;
         assert!(rel < 1e-6, "temperature drift {rel}");
-    }
-
-    #[test]
-    fn tier_policy_routes_snapshots_and_tracks_cross_model_error() {
-        use tvp_thermal::ThermalTier;
-        let netlist = generate(&SynthConfig::named("t", 250, 1.25e-9)).unwrap();
-        let config = PlacerConfig::new(4)
-            .with_alpha_temp(1.0e-4)
-            .with_thermal_tier("global", ThermalTier::Compact)
-            .with_thermal_tier("coarse", ThermalTier::Compact)
-            .with_thermal_tier("detail", ThermalTier::Compact)
-            .with_thermal_tier("final", ThermalTier::FullGrid);
-        let result = Placer::new(config).place(&netlist).unwrap();
-        let t = &result.thermal_trajectory;
-        assert_eq!(t.len(), 3, "global, coarse, final");
-
-        // The compact tier never iterates and uses no preconditioner.
-        for snap in &t[..2] {
-            assert_eq!(snap.tier, "compact");
-            assert_eq!(snap.cg_iterations, 0);
-            assert_eq!(snap.preconditioner, "none");
-            assert!(snap.cross_model_max_error.is_finite());
-            assert!(snap.cross_model_avg_error <= snap.cross_model_max_error);
-        }
-
-        // The final evaluation went back to the reference model: nothing
-        // to compare against.
-        assert_eq!(t[2].tier, "full-grid");
-        assert!(t[2].cross_model_max_error.is_nan());
-
-        // The cheaper tiers steer intermediate solves only; the result is
-        // still legal and fully evaluated.
-        assert_eq!(
-            crate::detail::check_legal(&netlist, &result.chip, &result.placement),
-            None
-        );
-        assert!(result.metrics.avg_temperature > 0.0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! that promise on the exact designs the hotpaths harness uses: the
 //! FNV-1a digest of every cell's `(x, y, layer)` bits, and the bits of
 //! the reported objective, must be identical at 1, 2, and 4 threads, in
-//! WL+ILV mode and in thermal mode (α_TEMP = 1e-4, with and without the
-//! compact-tier move pricer). Any divergence means a reduction or
-//! work-decomposition order leaked thread count into the math.
+//! WL+ILV mode and in thermal mode (α_TEMP = 1e-4). Any divergence means
+//! a reduction or work-decomposition order leaked thread count into the
+//! math.
 //!
 //! (The digest itself is hardware-run history, not an assertion: pinning
 //! the literal would couple the test to one libm/CPU; pinning
@@ -25,12 +25,11 @@
 //! with objective 2.400667e-2 → 2.403208e-2 (+0.11%) and 10k
 //! `91c23d0deb32ba2f` → `c71075bc67d2a904` with objective 5.462374e-1 →
 //! 5.475507e-1 (+0.24%), ILV 8837 → 8846 — noise-scale both ways. The
-//! thermal cases read `a16e1be21c8a1f7c` (1k, α_TEMP = 1e-4) and
-//! `c668093f372aa4c6` (the same with coarse and detail on the compact
-//! tier) when they were added.)
+//! thermal case read `a16e1be21c8a1f7c` (1k, α_TEMP = 1e-4) when it was
+//! added.)
 
 use tvp_bookshelf::synth::{generate, SynthConfig};
-use tvp_core::{Placer, PlacerConfig, ThermalTier};
+use tvp_core::{Placer, PlacerConfig};
 use tvp_netlist::CellId;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -102,17 +101,4 @@ fn reference_10k_placement_hash_is_identical_across_threads() {
 #[test]
 fn thermal_1k_placement_hash_is_identical_across_threads() {
     assert_thread_invariant(1000, reference_config().with_alpha_temp(1.0e-4));
-}
-
-/// The same thermal run with coarse and detail on the compact tier, so
-/// the per-move thermal pricer is armed in both legalization stages.
-#[test]
-fn compact_tier_thermal_1k_placement_hash_is_identical_across_threads() {
-    assert_thread_invariant(
-        1000,
-        reference_config()
-            .with_alpha_temp(1.0e-4)
-            .with_thermal_tier("coarse", ThermalTier::Compact)
-            .with_thermal_tier("detail", ThermalTier::Compact),
-    );
 }

@@ -6,6 +6,11 @@
 //! Fx/FireFox hash: one multiply-rotate-xor round per 8 input bytes.
 //! It is *not* DoS-resistant — use it only on trusted inputs such as
 //! benchmark files and internally generated keys.
+//!
+//! [`fnv1a`] is the workspace's one stable content hash: its output is
+//! fixed by the published algorithm, so values that are written to disk
+//! or compared across runs (checkpoint fingerprints, fault arming, job
+//! ids, placement digests) never depend on the build.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -81,9 +86,26 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// 64-bit FNV-1a over a byte stream.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn distinguishes_basic_keys() {

@@ -41,7 +41,7 @@ mod stats;
 
 pub use cell::{Cell, CellKind};
 pub use error::BuildNetlistError;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{CellId, NetId, PinId};
 pub use net::Net;
 pub use netlist::{Netlist, NetlistBuilder};

@@ -11,9 +11,9 @@
 //! and reproduces the interrupted run bitwise.
 
 use crate::json::{obj, s, Value};
-use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
+use tvp_core::checkpoint::write_durable;
 use tvp_core::PlacementResult;
 
 /// What a client may submit: either a synthetic benchmark request
@@ -154,7 +154,7 @@ impl JobSpec {
     fn to_json(&self) -> Value {
         let mut pairs = vec![
             ("name", s(self.name.clone())),
-            ("seed", Value::Num(self.seed as f64)),
+            ("seed", Value::UInt(self.seed)),
             ("layers", Value::Num(self.layers as f64)),
         ];
         if let Some(cells) = self.cells {
@@ -443,7 +443,9 @@ impl JobRecord {
     /// Propagates filesystem errors as strings.
     pub fn persist(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        write_durable(&dir.join("job.json"), self.to_json().to_json().as_bytes())
+        let path = dir.join("job.json");
+        write_durable(&path, self.to_json().to_json().as_bytes())
+            .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
     /// Loads `<dir>/job.json`.
@@ -460,50 +462,9 @@ impl JobRecord {
     }
 }
 
-/// Writes `bytes` to `path` through a sibling `.tmp` file that is
-/// fsynced and then renamed over `path`, so a crash leaves the old file
-/// or the new one, never a truncated mix. The directory is synced after
-/// the rename where the platform allows it, so the new name survives a
-/// crash too.
-///
-/// # Errors
-///
-/// Any I/O failure, as a message naming the file it hit.
-pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    let written = std::fs::File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(bytes)?;
-            file.sync_all()
-        })
-        .map_err(|e| format!("write {}: {e}", tmp.display()))
-        .and_then(|()| {
-            std::fs::rename(&tmp, path).map_err(|e| format!("rename into {}: {e}", path.display()))
-        });
-    match &written {
-        Ok(()) => {
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::File::open(dir).and_then(|dir| dir.sync_all());
-            }
-        }
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
-    written
-}
-
-/// 64-bit FNV-1a over a byte stream.
-pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// 64-bit FNV-1a over a byte stream (the workspace's one definition,
+/// re-exported where job ids, retry jitter and placement digests use it).
+pub use tvp_netlist::fnv1a;
 
 /// Digest of the final placement coordinates — bit-exact, so two runs
 /// match iff their placements are bitwise identical. This is what the
@@ -578,6 +539,22 @@ mod tests {
     }
 
     #[test]
+    fn seeds_above_2_pow_53_are_admitted_and_persisted_exactly() {
+        let dir = std::env::temp_dir().join(format!("tvp-serve-seed-{}", std::process::id()));
+        for seed in [9_007_199_254_740_993u64, u64::MAX] {
+            let body = format!(r#"{{"cells":100,"seed":{seed}}}"#);
+            let spec = JobSpec::from_json(&Value::parse(&body).unwrap()).unwrap();
+            assert_eq!(spec.seed, seed);
+            let _ = std::fs::remove_dir_all(&dir);
+            JobRecord::new("job-1-5eed".to_string(), spec)
+                .persist(&dir)
+                .unwrap();
+            assert_eq!(JobRecord::load(&dir).unwrap().spec.seed, seed);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn spec_validation_rejects_bad_submissions() {
         for (body, needle) in [
             (r#"{}"#, "supply either"),
@@ -597,6 +574,7 @@ mod tests {
             // never replaced with the field's default.
             (r#"{"cells":100,"seed":1e300}"#, "`seed`"),
             (r#"{"cells":100,"seed":-1}"#, "`seed`"),
+            (r#"{"cells":100,"seed":18446744073709551616}"#, "`seed`"),
             (
                 r#"{"cells":100,"deadline_seconds":"5"}"#,
                 "`deadline_seconds`",

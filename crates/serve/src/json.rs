@@ -4,8 +4,10 @@
 //! The build environment has no crates.io access, so this plays the role
 //! serde_json would for the daemon's small payloads. Objects preserve
 //! insertion order (they are vectors of pairs); duplicate keys keep the
-//! first occurrence on lookup. Numbers are `f64` throughout — the API
-//! never carries integers that lose precision at 2^53.
+//! first occurrence on lookup. A non-negative integer literal (no sign,
+//! fraction or exponent) that fits in a `u64` stays exact as
+//! [`Value::UInt`], so seeds above 2^53 survive a parse and a write;
+//! every other number is an `f64`.
 
 use std::fmt::Write as _;
 
@@ -16,8 +18,10 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// A JSON number other than a [`UInt`](Value::UInt) literal.
     Num(f64),
+    /// A non-negative integer literal that fits in a `u64`, kept exact.
+    UInt(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -65,17 +69,22 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (an exact integer
+    /// rounds to the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::UInt(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one.
+    /// The numeric payload as a non-negative integer, if it is one:
+    /// exact for a [`UInt`](Value::UInt), and for a [`Num`](Value::Num)
+    /// only up to 2^53, where every integer is still exact.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::UInt(n) => Some(*n),
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }
@@ -120,6 +129,9 @@ impl Value {
                 } else {
                     let _ = write!(out, "{n}");
                 }
+            }
+            Value::UInt(n) => {
+                let _ = write!(out, "{n}");
             }
             Value::Str(s) => write_escaped(out, s),
             Value::Arr(items) => {
@@ -245,9 +257,14 @@ impl Parser<'_> {
                 break;
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok();
+        if let Some(n) = text
+            .filter(|t| t.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|t| t.parse::<u64>().ok())
+        {
+            return Ok(Value::UInt(n));
+        }
+        text.and_then(|t| t.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .map(Value::Num)
             .ok_or_else(|| self.err("malformed number"))
@@ -440,6 +457,25 @@ mod tests {
     fn rejects_pathological_nesting_without_overflowing() {
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(Value::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn integer_literals_stay_exact_through_parse_and_write() {
+        for text in ["9007199254740993", "18446744073709551615"] {
+            let v = Value::parse(text).unwrap();
+            assert_eq!(v.as_u64(), text.parse().ok(), "{text}");
+            assert_eq!(v.to_json(), text);
+            assert_eq!(v.as_f64(), text.parse().ok());
+        }
+        // Past u64, signed, or with a fraction or an exponent: an f64.
+        for text in ["18446744073709551616", "-1", "1e300", "2.5"] {
+            let v = Value::parse(text).unwrap();
+            assert!(matches!(v, Value::Num(_)), "{text}");
+            assert_eq!(v.as_u64(), None, "{text}");
+        }
+        // Integers below 2^53 write the same bytes either way.
+        assert_eq!(Value::parse("1000").unwrap().to_json(), "1000");
+        assert_eq!(Value::Num(1000.0).to_json(), "1000");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! is what makes kill-at-any-instant recovery sound.
 
 use crate::http::{self, Request, Response};
-use crate::job::{self, backoff_delay, fnv1a, JobRecord, JobSpec, JobState};
+use crate::job::{backoff_delay, fnv1a, JobRecord, JobSpec, JobState};
 use crate::json::{obj, s, Value};
 use crate::metrics::Metrics;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tvp_core::checkpoint::GcPolicy;
+use tvp_core::checkpoint::{write_durable, GcPolicy};
 use tvp_core::{CancelToken, PlaceOptions, PlacementResult, Placer, PlacerConfig};
 
 /// Everything that shapes a daemon instance. `Default` gives sensible
@@ -660,8 +660,9 @@ fn run_job(inner: &Arc<Inner>, id: &str) {
     // dead-letter policy below applies to it.
     let outcome = outcome.and_then(|(result, pl_text)| {
         if !was_cancelled && !parked {
-            job::write_durable(&inner.job_dir(id).join("placement.pl"), pl_text.as_bytes())
-                .map_err(|message| (message, true))?;
+            let path = inner.job_dir(id).join("placement.pl");
+            write_durable(&path, pl_text.as_bytes())
+                .map_err(|e| (format!("write {}: {e}", path.display()), true))?;
         }
         Ok(result)
     });

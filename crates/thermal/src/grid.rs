@@ -118,31 +118,6 @@ impl TemperatureField {
         self.at(i as usize, j as usize, layer.min(self.nz - 1))
     }
 
-    /// Assembles a field from raw device-layer values (compact-model and
-    /// test construction inside this crate).
-    pub(crate) fn from_values(
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        ambient: f64,
-        values: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(values.len(), nx * ny * nz);
-        Self {
-            nx,
-            ny,
-            nz,
-            ambient,
-            values,
-        }
-    }
-
-    /// Raw device-layer values, `(k, j, i)` row-major (crate-internal:
-    /// the compact model patches fields incrementally).
-    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Raw device-layer values, `(k, j, i)` row-major.
     pub fn values(&self) -> &[f64] {
         &self.values

@@ -8,19 +8,17 @@
 //!    area, through the effective conductivity of the stack, ending in a
 //!    convective film at the surface. The six directional paths combine in
 //!    parallel. This gives `R_j^cell` of Eq. 2 in O(1) per query, plus the
-//!    linearized vertical profile `R0_z + Rz_slope · z` of §3.2.
+//!    linearized vertical profile `R0_z + Rz_slope · z` of §3.2. It is
+//!    the only temperature term that prices moves.
 //! 2. **Evaluation-time simulator** ([`ThermalSimulator`]): a steady-state 3D
 //!    finite-volume discretization of `∇·(k∇T) = −q` over the layer stack
-//!    with a convective boundary at the heat sink, solved with conjugate
-//!    gradients. The paper evaluates final placements with FEA under the
-//!    same boundary conditions; both are consistent discretizations of the
-//!    same PDE (DESIGN.md §5, substitution 3).
-//! 3. **Tiered oracles** ([`ThermalOracle`]): the placer-facing dispatch
-//!    layer. The finite-volume solver backs the `full-grid` tier
-//!    ([`GridOracle`]); the `compact` tier
-//!    ([`CompactModel`]) is a closed-form superposition model fitted
-//!    against the solver, fast enough to price individual moves
-//!    (DESIGN.md §14).
+//!    with a convective boundary at the heat sink, solved with
+//!    multigrid-preconditioned conjugate gradients. The paper evaluates
+//!    final placements with FEA under the same boundary conditions; both
+//!    are consistent discretizations of the same PDE (DESIGN.md §5,
+//!    substitution 3). The placer reaches it through [`GridOracle`],
+//!    which keeps one warm-started solve context across a run's stage
+//!    boundaries and falls back to damped Jacobi when CG breaks down.
 //!
 //! # Example
 //!
@@ -36,8 +34,6 @@
 //! # Ok::<(), tvp_thermal::ThermalError>(())
 //! ```
 
-mod compact;
-pub mod compact_params;
 mod error;
 mod grid;
 mod multigrid;
@@ -46,13 +42,12 @@ mod power_map;
 mod resistance;
 mod stack;
 
-pub use compact::{f_kernel, CompactFitReport, CompactModel, CompactParams};
 pub use error::ThermalError;
 pub use grid::{
     CgStats, FallbackStats, PrecondKind, Preconditioner, TemperatureField, ThermalSimulator,
     ThermalSolveContext,
 };
-pub use oracle::{GridOracle, OracleStats, ThermalOracle, ThermalTier};
+pub use oracle::{GridOracle, OracleStats};
 pub use power_map::PowerMap;
 pub use resistance::{ResistanceModel, VerticalProfile};
 pub use stack::{HeatSink, LayerSpec, LayerStack};

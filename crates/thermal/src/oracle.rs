@@ -1,73 +1,18 @@
-//! Tiered thermal oracles: one trait, two fidelities.
+//! The placer's one temperature model: the finite-volume multigrid-CG
+//! solver at the evaluation resolution ([`GridOracle`] wrapping
+//! [`ThermalSimulator`] + [`ThermalSolveContext`]).
 //!
-//! The placer needs temperature estimates at wildly different price
-//! points: microseconds per query inside legalization move loops,
-//! milliseconds at stage boundaries, and full fidelity for the final
-//! score. [`ThermalOracle`] abstracts over the implementations so every
-//! call site in the placer dispatches through one interface and a
-//! per-stage policy picks the model:
-//!
-//! * [`ThermalTier::FullGrid`] — the finite-volume multigrid-CG solver at
-//!   the evaluation resolution ([`GridOracle`] wrapping
-//!   [`ThermalSimulator`] + [`ThermalSolveContext`]). Ground truth.
-//! * [`ThermalTier::Compact`] — the analytical superposition model
-//!   ([`CompactModel`](crate::CompactModel)): closed-form per-source
-//!   heat-spread kernel with amplitudes fitted against the full-grid
-//!   solver. Microseconds per field, O(1) per cached-field probe — cheap
-//!   enough to price individual moves.
-//!
-//! Oracles own their warm-start/context state; `solve` reproduces the
-//! historical solve sequence of the grid-backed path bit for bit
-//! (CG → damped-Jacobi fallback on divergence, context reset after a
-//! fallback), so routing the default full-grid configuration through the
-//! trait changes nothing observable.
+//! The oracle owns its warm-start state; [`GridOracle::solve`] runs the
+//! solve sequence every stage boundary uses (CG → damped-Jacobi fallback
+//! on divergence, context reset after a fallback).
 
 use crate::{
     CgStats, FallbackStats, PowerMap, Preconditioner, TemperatureField, ThermalError,
     ThermalSimulator, ThermalSolveContext,
 };
 
-/// Accuracy/speed tier of a thermal oracle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ThermalTier {
-    /// Closed-form superposition model, fitted against the full-grid
-    /// solver. Microseconds per evaluation.
-    Compact,
-    /// Finite-volume multigrid-CG solve at full evaluation resolution
-    /// (the default, and the ground truth the other tiers are measured
-    /// against).
-    FullGrid,
-}
-
-impl ThermalTier {
-    /// Stable lowercase identifier used in config, CLI flags, trace
-    /// events, and benchmark artifacts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ThermalTier::Compact => "compact",
-            ThermalTier::FullGrid => "full-grid",
-        }
-    }
-
-    /// Parses an identifier (accepts the short alias `full`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "compact" => Some(ThermalTier::Compact),
-            "full-grid" | "full" => Some(ThermalTier::FullGrid),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ThermalTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Solver-side statistics of one oracle solve. Grid-backed tiers fill
-/// `cg` (or `fallback` after a CG breakdown); the compact tier reports
-/// neither — its evaluation is direct arithmetic.
+/// Solver-side statistics of one oracle solve: `cg` when conjugate
+/// gradients converged, `fallback` after a CG breakdown.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct OracleStats {
     /// CG convergence record, when conjugate gradients ran.
@@ -77,47 +22,7 @@ pub struct OracleStats {
     pub fallback: Option<FallbackStats>,
 }
 
-/// A temperature model the placer can query at its tier's price point.
-///
-/// The power map handed to [`solve`](Self::solve) must be built at
-/// [`grid_dims`](Self::grid_dims) — callers deposit cell powers at
-/// whatever resolution the oracle evaluates, which
-/// [`PowerMap::deposit`]'s physical-coordinate addressing makes
-/// resolution-agnostic.
-pub trait ThermalOracle {
-    /// Which tier this oracle implements.
-    fn tier(&self) -> ThermalTier;
-
-    /// Power-map dimensions `(nx, ny, num_device_layers)` this oracle
-    /// evaluates at.
-    fn grid_dims(&self) -> (usize, usize, usize);
-
-    /// Chip footprint `(width, depth)`, meters.
-    fn footprint(&self) -> (f64, f64);
-
-    /// Computes the steady-state temperature field for `power`.
-    ///
-    /// `force_fallback` forces the degraded damped-Jacobi path on
-    /// grid-backed tiers (fault injection); the compact tier has no
-    /// iterative solver and ignores it.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::GridMismatch`] when `power` does not match
-    /// [`grid_dims`](Self::grid_dims); grid-backed tiers additionally
-    /// propagate unrecoverable solver errors.
-    fn solve(
-        &mut self,
-        power: &PowerMap,
-        force_fallback: bool,
-    ) -> crate::Result<(TemperatureField, OracleStats)>;
-
-    /// Drops any warm-start state (the next solve runs cold).
-    fn reset(&mut self);
-}
-
-/// Grid-backed oracle: the finite-volume solver plus its reusable solve
-/// context. This is the historical stage-boundary path, verbatim:
+/// The finite-volume solver plus its reusable solve context:
 /// warm-started preconditioned CG, with the damped-Jacobi fallback (and
 /// a context reset) on breakdown.
 #[derive(Clone, PartialEq, Debug)]
@@ -127,7 +32,7 @@ pub struct GridOracle {
 }
 
 impl GridOracle {
-    /// Wraps `sim` as the full-resolution ground-truth tier.
+    /// Wraps `sim` with a cold solve context preconditioned by `precond`.
     pub fn full_grid(sim: ThermalSimulator, precond: Preconditioner) -> Self {
         let context = sim.context_with(precond);
         Self { sim, context }
@@ -142,36 +47,36 @@ impl GridOracle {
     pub fn context(&self) -> &ThermalSolveContext {
         &self.context
     }
-}
 
-impl ThermalOracle for GridOracle {
-    fn tier(&self) -> ThermalTier {
-        ThermalTier::FullGrid
-    }
-
-    fn grid_dims(&self) -> (usize, usize, usize) {
+    /// Power-map dimensions `(nx, ny, num_device_layers)` this oracle
+    /// evaluates at; the power map handed to [`solve`](Self::solve) must
+    /// be built at these dimensions.
+    pub fn grid_dims(&self) -> (usize, usize, usize) {
         self.sim.grid_dims()
     }
 
-    fn footprint(&self) -> (f64, f64) {
+    /// Chip footprint `(width, depth)`, meters.
+    pub fn footprint(&self) -> (f64, f64) {
         self.sim.footprint()
     }
 
-    fn solve(
+    /// Computes the steady-state temperature field for `power`,
+    /// warm-starting from the previous solve.
+    ///
+    /// `force_fallback` forces the degraded damped-Jacobi path (fault
+    /// injection).
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::GridMismatch`] when `power` does not match
+    /// [`grid_dims`](Self::grid_dims), and unrecoverable solver errors.
+    pub fn solve(
         &mut self,
         power: &PowerMap,
         force_fallback: bool,
     ) -> crate::Result<(TemperatureField, OracleStats)> {
         if force_fallback {
-            let (field, stats) = self.sim.solve_fallback(power)?;
-            self.context.reset();
-            return Ok((
-                field,
-                OracleStats {
-                    cg: None,
-                    fallback: Some(stats),
-                },
-            ));
+            return self.fallback(power);
         }
         match self.sim.solve_with(power, &mut self.context) {
             Ok(field) => Ok((
@@ -181,22 +86,27 @@ impl ThermalOracle for GridOracle {
                     fallback: None,
                 },
             )),
-            Err(ThermalError::SolverDiverged { .. }) => {
-                let (field, stats) = self.sim.solve_fallback(power)?;
-                self.context.reset();
-                Ok((
-                    field,
-                    OracleStats {
-                        cg: None,
-                        fallback: Some(stats),
-                    },
-                ))
-            }
+            Err(ThermalError::SolverDiverged { .. }) => self.fallback(power),
             Err(e) => Err(e),
         }
     }
 
-    fn reset(&mut self) {
+    /// The damped-Jacobi solve; drops the warm start, since the CG
+    /// context no longer matches the field.
+    fn fallback(&mut self, power: &PowerMap) -> crate::Result<(TemperatureField, OracleStats)> {
+        let (field, stats) = self.sim.solve_fallback(power)?;
+        self.context.reset();
+        Ok((
+            field,
+            OracleStats {
+                cg: None,
+                fallback: Some(stats),
+            },
+        ))
+    }
+
+    /// Drops any warm-start state (the next solve runs cold).
+    pub fn reset(&mut self) {
         self.context.reset();
     }
 }
@@ -224,17 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_identifiers_round_trip() {
-        for tier in [ThermalTier::Compact, ThermalTier::FullGrid] {
-            assert_eq!(ThermalTier::parse(tier.as_str()), Some(tier));
-        }
-        assert_eq!(ThermalTier::parse("full"), Some(ThermalTier::FullGrid));
-        assert_eq!(ThermalTier::parse("fv"), None);
-        assert_eq!(ThermalTier::parse("coarse-grid"), None);
-        assert_eq!(ThermalTier::parse("coarse"), None);
-    }
-
-    #[test]
     fn grid_oracle_matches_direct_solver_bit_for_bit() {
         let stack = LayerStack::mitll_0_18um(4);
         let sim = ThermalSimulator::new(stack, 1.0e-3, 1.0e-3, 8, 8).unwrap();
@@ -251,7 +150,6 @@ mod tests {
         assert_eq!(direct1, o1, "warm solve must be the historical path");
         assert!(!s0.cg.unwrap().warm_started);
         assert!(s1.cg.unwrap().warm_started);
-        assert_eq!(oracle.tier(), ThermalTier::FullGrid);
     }
 
     #[test]
