@@ -25,10 +25,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_bookshelf::{stream, write_nets, write_nodes, write_wts, Design, DesignBuilderOptions};
+use tvp_core::json::{obj, s, Value};
 use tvp_core::netweight::NetWeights;
 use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
 use tvp_core::{
@@ -309,12 +309,6 @@ fn high_fanout_netlist(cells: usize) -> Netlist {
     b.build().expect("high-fanout netlist builds")
 }
 
-struct PricingRow {
-    name: &'static str,
-    ns_per_op: f64,
-    rescan_ns_per_op: Option<f64>,
-}
-
 /// Largest cell count at which the scaling sweep runs the full placement
 /// pipeline; above this only ingest (synth/write/parse/build) is timed.
 const SCALE_PLACE_MAX: usize = 100_000;
@@ -337,7 +331,7 @@ fn peak_rss_mb() -> f64 {
 /// scan it with the zero-copy readers (pure parse cost), assemble the
 /// netlist through the streaming path, and — at sizes where it is
 /// practical — run the full placement pipeline. Returns the row as a
-/// JSON object string.
+/// JSON object.
 ///
 /// With `stages` set, the row instead runs exactly that prefix of the
 /// pipeline (`global`, then `coarse`, then `detail`) through the
@@ -352,7 +346,7 @@ fn peak_rss_mb() -> f64 {
 ///
 /// Meant to run in a fresh process (`--scale-one`) so the reported peak
 /// RSS belongs to this size alone.
-fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
+fn scale_row(cells: usize, stages: Option<&[Stage]>) -> Value {
     let t = Instant::now();
     let netlist =
         generate(&SynthConfig::named("scale", cells, cells as f64 * 5.0e-12)).expect("synth");
@@ -429,14 +423,11 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                 .contains(&Stage::Coarse)
                 .then(|| IncrementalObjective::new(netlist, &model, placement));
             let mut heap_peaks = vec![("global".to_string(), heap::reset_peak())];
-            let mut row = format!(
-                "{{\"threads\": {threads}, \"stages\": \"{}\", \"global_ms\": {global_ms:.1}",
-                stages
-                    .iter()
-                    .map(|s| s.name())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
+            let mut row = vec![
+                ("threads", uint(threads)),
+                ("stages", s(stage_list(stages))),
+                ("global_ms", Value::Num(global_ms)),
+            ];
             if let Some(mut objective) = objective {
                 let mut shift_passes = 0usize;
                 let t = Instant::now();
@@ -452,25 +443,22 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                         std::ops::ControlFlow::Continue(())
                     }),
                 );
-                let _ = write!(
-                    row,
-                    ", \"coarse_ms\": {:.1}, \"shift_passes\": {shift_passes}",
-                    t.elapsed().as_secs_f64() * 1e3
-                );
+                row.push(("coarse_ms", Value::Num(t.elapsed().as_secs_f64() * 1e3)));
+                row.push(("shift_passes", uint(shift_passes)));
                 heap_peaks.push(("coarse".to_string(), heap::reset_peak()));
             }
             let run_peak = heap_peaks.iter().map(|&(_, b)| b).max().unwrap_or(0);
-            let _ = write!(row, ", {}}}", heap_json(&heap_peaks, run_peak, cells));
-            row
+            row.extend(heap_fields(&heap_peaks, run_peak, cells));
+            obj(row)
         }
         // An explicit full prefix overrides the size cutoff; the default
         // policy places only up to `SCALE_PLACE_MAX`.
         Some(_) => placer_row(&assembled.netlist, threads),
         None if cells <= SCALE_PLACE_MAX => placer_row(&assembled.netlist, threads),
-        None => "null".to_string(),
+        None => Value::Null,
     };
 
-    fn placer_row(netlist: &Netlist, threads: usize) -> String {
+    fn placer_row(netlist: &Netlist, threads: usize) -> Value {
         /// Counts cell-shifting passes from the event stream (the
         /// convergence-adaptive spread makes the count a scaling signal)
         /// and takes each stage's live-heap peak.
@@ -519,54 +507,75 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                 .expect("places");
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             let run_peak = observer.run_peak.max(heap::peak());
-            format!(
-                "{{\"threads\": {threads}, \"wall_ms\": {wall_ms:.1}, \"global_ms\": {:.1}, \"coarse_ms\": {:.1}, \"detail_ms\": {:.1}, \"shift_passes\": {}, {}}}",
-                result.timings.global.as_secs_f64() * 1e3,
-                result.timings.coarse.as_secs_f64() * 1e3,
-                result.timings.detail.as_secs_f64() * 1e3,
-                observer.shift_passes,
-                heap_json(&observer.heap_peaks, run_peak, netlist.num_cells()),
-            )
+            let ms = |d: std::time::Duration| Value::Num(d.as_secs_f64() * 1e3);
+            let mut row = vec![
+                ("threads", uint(threads)),
+                ("wall_ms", Value::Num(wall_ms)),
+                ("global_ms", ms(result.timings.global)),
+                ("coarse_ms", ms(result.timings.coarse)),
+                ("detail_ms", ms(result.timings.detail)),
+                ("shift_passes", uint(observer.shift_passes)),
+            ];
+            row.extend(heap_fields(
+                &observer.heap_peaks,
+                run_peak,
+                netlist.num_cells(),
+            ));
+            obj(row)
         }
     }
 
-    format!(
-        "{{\"cells\": {cells}, \"nets\": {num_nets}, \"pins\": {num_pins}, \"synth_ms\": {synth_ms:.1}, \"write_ms\": {write_ms:.1}, \"parse_ms\": {parse_ms:.1}, \"build_ms\": {build_ms:.1}, \"place\": {place}, \"peak_rss_mb\": {:.1}}}",
-        peak_rss_mb()
-    )
+    obj(vec![
+        ("cells", uint(cells)),
+        ("nets", uint(num_nets)),
+        ("pins", uint(num_pins)),
+        ("synth_ms", Value::Num(synth_ms)),
+        ("write_ms", Value::Num(write_ms)),
+        ("parse_ms", Value::Num(parse_ms)),
+        ("build_ms", Value::Num(build_ms)),
+        ("place", place),
+        ("peak_rss_mb", Value::Num(peak_rss_mb())),
+    ])
 }
 
 /// The heap fields of a scaling row's placement object: each stage's
 /// live-heap peak in MB and the run's peak in bytes per cell.
-fn heap_json(stage_peaks: &[(String, usize)], run_peak: usize, cells: usize) -> String {
-    let stages: Vec<String> = stage_peaks
+fn heap_fields(
+    stage_peaks: &[(String, usize)],
+    run_peak: usize,
+    cells: usize,
+) -> [(&'static str, Value); 2] {
+    let mb = stage_peaks
         .iter()
-        .map(|(stage, bytes)| format!("\"{stage}\": {:.3}", *bytes as f64 / (1024.0 * 1024.0)))
+        .map(|(stage, bytes)| (stage.clone(), Value::Num(*bytes as f64 / (1024.0 * 1024.0))))
         .collect();
-    format!(
-        "\"heap_peak_mb\": {{{}}}, \"bytes_per_cell\": {:.0}",
-        stages.join(", "),
-        run_peak as f64 / cells.max(1) as f64
-    )
+    [
+        ("heap_peak_mb", Value::Obj(mb)),
+        (
+            "bytes_per_cell",
+            Value::Num(run_peak as f64 / cells.max(1) as f64),
+        ),
+    ]
 }
 
-fn json_threads_ms(entries: &[(usize, f64)]) -> String {
-    let mut s = String::from("{");
-    for (i, (threads, ms)) in entries.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{threads}\": {ms:.3}");
-    }
-    s.push('}');
-    s
+fn uint(n: usize) -> Value {
+    Value::UInt(n as u64)
+}
+
+/// `global,coarse,...`: the `--stages` spelling of a stage prefix.
+fn stage_list(stages: &[Stage]) -> String {
+    stages
+        .iter()
+        .map(|st| st.name())
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 fn main() {
     let opts = parse_options();
     if let Some(cells) = opts.scale_one {
         heap::enable();
-        println!("{}", scale_row_json(cells, opts.stages.as_deref()));
+        println!("{}", scale_row(cells, opts.stages.as_deref()).to_json());
         return;
     }
     let kernel_cells = opts.cells[0];
@@ -594,7 +603,7 @@ fn main() {
         let ms = tvp_parallel::with_threads(threads, || {
             time_ms(opts.repeats, || sim.solve(&base).expect("converges"))
         });
-        thermal_cold.push((threads, ms));
+        thermal_cold.push((threads.to_string(), Value::Num(ms)));
     }
     let mut ctx = sim.context();
     sim.solve_with(&base, &mut ctx).expect("converges");
@@ -608,16 +617,6 @@ fn main() {
     // Cold solves at growing grid sizes. The multigrid column is the
     // headline: its iteration count should stay nearly flat as the grid
     // grows while Jacobi's climbs with the mesh diameter.
-    struct ScalingRow {
-        nx: usize,
-        layers: usize,
-        mg_iterations: usize,
-        mg_cold_ms: f64,
-        mg_setup_ms: f64,
-        mg_levels: usize,
-        jacobi_iterations: usize,
-        jacobi_cold_ms: f64,
-    }
     let scaling_grids: &[(usize, usize)] = if opts.smoke {
         &[(32, 4), (64, 8)]
     } else {
@@ -639,16 +638,30 @@ fn main() {
             jac_ctx.reset();
             sim.solve_with(&power, &mut jac_ctx).expect("converges")
         });
-        scaling.push(ScalingRow {
-            nx,
-            layers: nl,
-            mg_iterations,
-            mg_cold_ms,
-            mg_setup_ms: mg_ctx.setup_seconds() * 1e3,
-            mg_levels: mg_ctx.multigrid_levels().unwrap_or(0),
-            jacobi_iterations: jac_ctx.last_stats().expect("solved").iterations,
-            jacobi_cold_ms,
-        });
+        let jacobi_iterations = jac_ctx.last_stats().expect("solved").iterations;
+        scaling.push(obj(vec![
+            ("grid", s(format!("{nx}x{nx}x{nl}"))),
+            (
+                "multigrid",
+                obj(vec![
+                    ("cg_iterations", uint(mg_iterations)),
+                    ("cold_ms", Value::Num(mg_cold_ms)),
+                    ("setup_ms", Value::Num(mg_ctx.setup_seconds() * 1e3)),
+                    ("levels", uint(mg_ctx.multigrid_levels().unwrap_or(0))),
+                ]),
+            ),
+            (
+                "jacobi",
+                obj(vec![
+                    ("cg_iterations", uint(jacobi_iterations)),
+                    ("cold_ms", Value::Num(jacobi_cold_ms)),
+                ]),
+            ),
+            (
+                "iteration_ratio",
+                Value::Num(jacobi_iterations as f64 / mg_iterations as f64),
+            ),
+        ]));
     }
 
     // --- Objective rebuild + netweight, per thread count -----------------
@@ -668,13 +681,12 @@ fn main() {
     let mut netweight = Vec::new();
     for &threads in thread_counts {
         tvp_parallel::with_threads(threads, || {
-            rebuild.push((threads, time_ms(opts.repeats, || objective.rebuild())));
-            netweight.push((
-                threads,
-                time_ms(opts.repeats, || {
-                    NetWeights::thermal(&netlist, &model, &placement)
-                }),
-            ));
+            let ms = time_ms(opts.repeats, || objective.rebuild());
+            rebuild.push((threads.to_string(), Value::Num(ms)));
+            let ms = time_ms(opts.repeats, || {
+                NetWeights::thermal(&netlist, &model, &placement)
+            });
+            netweight.push((threads.to_string(), Value::Num(ms)));
         });
     }
 
@@ -789,28 +801,14 @@ fn main() {
             .sum()
     });
 
-    let pricing_rows = [
-        PricingRow {
-            name: "move_pricing",
-            ns_per_op: move_ns,
-            rescan_ns_per_op: Some(move_rescan_ns),
-        },
-        PricingRow {
-            name: "swap_pricing",
-            ns_per_op: swap_ns,
-            rescan_ns_per_op: Some(swap_rescan_ns),
-        },
-        PricingRow {
-            name: "commit",
-            ns_per_op: commit_ns,
-            rescan_ns_per_op: None,
-        },
-        PricingRow {
-            name: "high_fanout_move_pricing",
-            ns_per_op: hf_ns,
-            rescan_ns_per_op: Some(hf_rescan_ns),
-        },
-    ];
+    // A pricing row beside its rescan denominator and the speedup over it.
+    let pricing = |ns_per_op: f64, rescan_ns_per_op: f64| {
+        obj(vec![
+            ("ns_per_op", Value::Num(ns_per_op)),
+            ("rescan_ns_per_op", Value::Num(rescan_ns_per_op)),
+            ("speedup", Value::Num(rescan_ns_per_op / ns_per_op)),
+        ])
+    };
 
     // --- Multi-start bisection, per thread count -------------------------
     let mut hg = Hypergraph::new(kernel_cells);
@@ -827,12 +825,12 @@ fn main() {
         let ms = tvp_parallel::with_threads(threads, || {
             time_ms(opts.repeats, || bisect(&hg, &free, &bisect_config, None))
         });
-        bisection.push((threads, ms));
+        bisection.push((threads.to_string(), Value::Num(ms)));
     }
 
     // --- Full pipeline, per thread count ---------------------------------
     let mut pipeline = Vec::new();
-    let mut trajectory_iters: Vec<(usize, bool)> = Vec::new();
+    let mut trajectory = Vec::new();
     for &threads in thread_counts {
         let placer = Placer::new(
             PlacerConfig::new(layers)
@@ -842,15 +840,20 @@ fn main() {
         let ms = time_ms(opts.repeats.min(3), || {
             let result = placer.place(&netlist).expect("places");
             if threads == 1 {
-                trajectory_iters = result
+                trajectory = result
                     .thermal_trajectory
                     .iter()
-                    .map(|s| (s.cg_iterations, s.warm_started))
+                    .map(|snap| {
+                        obj(vec![
+                            ("cg_iterations", uint(snap.cg_iterations)),
+                            ("warm_started", Value::Bool(snap.warm_started)),
+                        ])
+                    })
                     .collect();
             }
             result
         });
-        pipeline.push((threads, ms));
+        pipeline.push((threads.to_string(), Value::Num(ms)));
     }
 
     // --- Parallel scaling: per-stage walls and bisection sub-phases ------
@@ -896,238 +899,211 @@ fn main() {
     let (_, bisect_profile) = bisect_fixed_profiled(&hg, &free, &bisect_config);
 
     // --- Scaling sweep: one fresh child process per cell count -----------
-    let mut scale_rows: Vec<String> = Vec::new();
+    let mut scale_rows = Vec::new();
     let exe = std::env::current_exe().expect("current exe");
     for &cells in &opts.cells {
         eprintln!("hotpaths: scaling sweep at {cells} cells...");
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("--scale-one").arg(cells.to_string());
         if let Some(stages) = &opts.stages {
-            cmd.arg("--stages").arg(
-                stages
-                    .iter()
-                    .map(|s| s.name())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
+            cmd.arg("--stages").arg(stage_list(stages));
         }
         let row = match cmd.output() {
             Ok(out) if out.status.success() => {
-                String::from_utf8_lossy(&out.stdout).trim().to_string()
+                Value::parse(String::from_utf8_lossy(&out.stdout).trim())
+                    .expect("the child prints one JSON row")
             }
             _ => {
                 // Sandboxes that forbid self-exec still get a row, but the
                 // RSS reading is then cumulative across sweep sizes.
                 eprintln!("hotpaths: child spawn failed, running {cells} in-process");
-                scale_row_json(cells, opts.stages.as_deref())
+                scale_row(cells, opts.stages.as_deref())
             }
         };
         scale_rows.push(row);
     }
 
     // --- Report ----------------------------------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"hotpaths\",");
-    let _ = writeln!(json, "  \"hardware_threads\": {hw},");
-    if hw > 1 {
-        let _ = writeln!(
-            json,
-            "  \"note\": \"wall times are best-of-{} ms; hardware_threads = {hw}, so ms_by_threads columns up to {hw} workers measure real parallel speedup (columns beyond that add only scheduling overhead); results are verified identical across thread counts by the test suite\",",
+    let note = if hw > 1 {
+        format!(
+            "wall times are best-of-{} ms; hardware_threads = {hw}, so ms_by_threads \
+             columns up to {hw} workers measure real parallel speedup (columns beyond that \
+             add only scheduling overhead); results are verified identical across thread \
+             counts by the test suite",
             opts.repeats
-        );
+        )
     } else {
-        let _ = writeln!(
-            json,
-            "  \"note\": \"wall times are best-of-{} ms; with hardware_threads = 1 a multi-worker run can only measure scheduling overhead, not speedup — results are verified identical across thread counts by the test suite\",",
+        format!(
+            "wall times are best-of-{} ms; with hardware_threads = 1 a multi-worker run \
+             can only measure scheduling overhead, not speedup — results are verified \
+             identical across thread counts by the test suite",
             opts.repeats
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  \"thread_counts\": [{}],",
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(json, "  \"thermal_solve\": {{");
-    let _ = writeln!(json, "    \"grid\": \"{0}x{0}x{1}\",", opts.grid, layers);
-    let _ = writeln!(
-        json,
-        "    \"cold_ms_by_threads\": {},",
-        json_threads_ms(&thermal_cold)
-    );
-    let _ = writeln!(json, "    \"cold_cg_iterations\": {cold_iterations},");
-    let _ = writeln!(json, "    \"warm_2pct_drift_ms\": {warm_ms:.3},");
-    let _ = writeln!(
-        json,
-        "    \"warm_2pct_drift_cg_iterations\": {warm_iterations}"
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"thermal_scaling\": {{");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"cold-solve comparison of the two CG preconditioners; multigrid iteration counts stay nearly flat as the grid grows while Jacobi's climb with the mesh diameter; setup_ms is the one-time hierarchy build, amortized across every warm solve of a placement run\","
-    );
-    let _ = writeln!(json, "    \"grids\": [");
-    for (i, row) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"grid\": \"{0}x{0}x{1}\", \"multigrid\": {{\"cg_iterations\": {2}, \"cold_ms\": {3:.3}, \"setup_ms\": {4:.3}, \"levels\": {5}}}, \"jacobi\": {{\"cg_iterations\": {6}, \"cold_ms\": {7:.3}}}, \"iteration_ratio\": {8:.1}}}{comma}",
-            row.nx,
-            row.layers,
-            row.mg_iterations,
-            row.mg_cold_ms,
-            row.mg_setup_ms,
-            row.mg_levels,
-            row.jacobi_iterations,
-            row.jacobi_cold_ms,
-            row.jacobi_iterations as f64 / row.mg_iterations as f64
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"objective_rebuild\": {{");
-    let _ = writeln!(json, "    \"cells\": {},", kernel_cells);
-    let _ = writeln!(json, "    \"nets\": {},", netlist.num_nets());
-    let _ = writeln!(json, "    \"ms_by_threads\": {}", json_threads_ms(&rebuild));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"netweight\": {{");
-    let _ = writeln!(json, "    \"nets\": {},", netlist.num_nets());
-    let _ = writeln!(
-        json,
-        "    \"ms_by_threads\": {}",
-        json_threads_ms(&netweight)
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"delta_pricing\": {{");
-    let _ = writeln!(json, "    \"cells\": {},", kernel_cells);
-    let _ = writeln!(json, "    \"probes\": {num_probes},");
-    let _ = writeln!(json, "    \"high_fanout_cells\": {hf_cells},");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"ns per op, WL+ILV model (default pipeline config); rescan rows run the same probe pattern through the pre-delta-engine full-bbox-rescan kernel (delta_move_rescan) as a live speedup denominator; the swap denominator is four rescan probes per pair, a lower bound on the mutate-and-revert swap (four commits) it replaces\","
-    );
-    for (i, row) in pricing_rows.iter().enumerate() {
-        let comma = if i + 1 < pricing_rows.len() { "," } else { "" };
-        match row.rescan_ns_per_op {
-            Some(rescan) => {
-                let _ = writeln!(
-                    json,
-                    "    \"{}\": {{\"ns_per_op\": {:.1}, \"rescan_ns_per_op\": {:.1}, \"speedup\": {:.1}}}{comma}",
-                    row.name,
-                    row.ns_per_op,
-                    rescan,
-                    rescan / row.ns_per_op
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    json,
-                    "    \"{}\": {{\"ns_per_op\": {:.1}}}{comma}",
-                    row.name, row.ns_per_op
-                );
-            }
-        }
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"bisection\": {{");
-    let _ = writeln!(json, "    \"vertices\": {},", kernel_cells);
-    let _ = writeln!(json, "    \"starts\": 8,");
-    let _ = writeln!(
-        json,
-        "    \"ms_by_threads\": {}",
-        json_threads_ms(&bisection)
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"pipeline\": {{");
-    let _ = writeln!(json, "    \"cells\": {},", kernel_cells);
-    let _ = writeln!(json, "    \"partition_starts\": 4,");
-    let _ = writeln!(
-        json,
-        "    \"ms_by_threads\": {},",
-        json_threads_ms(&pipeline)
-    );
-    let traj: Vec<String> = trajectory_iters
-        .iter()
-        .map(|(iters, warm)| format!("{{\"cg_iterations\": {iters}, \"warm_started\": {warm}}}"))
-        .collect();
-    let _ = writeln!(json, "    \"thermal_trajectory\": [{}]", traj.join(", "));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"parallel_scaling\": {{");
-    let _ = writeln!(json, "    \"cells\": {kernel_cells},");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"per-stage wall times from the placer's stage clocks, best-of-{}; speedup_* divides this sweep's threads=1 wall by the row's wall; rows with threads > hardware_threads ({hw} on this host) are annotated hw_limited: true — they can only measure scheduling overhead, never speedup, and are published for completeness because results are verified bitwise identical across thread counts by the test suite\",",
+        )
+    };
+    let thermal_scaling_note =
+        "cold-solve comparison of the two CG preconditioners; multigrid iteration counts \
+         stay nearly flat as the grid grows while Jacobi's climb with the mesh diameter; \
+         setup_ms is the one-time hierarchy build, amortized across every warm solve of a \
+         placement run";
+    let pricing_note =
+        "ns per op, WL+ILV model (default pipeline config); rescan rows run the same probe \
+         pattern through the pre-delta-engine full-bbox-rescan kernel (delta_move_rescan) \
+         as a live speedup denominator; the swap denominator is four rescan probes per \
+         pair, a lower bound on the mutate-and-revert swap (four commits) it replaces";
+    let parallel_note = format!(
+        "per-stage wall times from the placer's stage clocks, best-of-{}; speedup_* \
+         divides this sweep's threads=1 wall by the row's wall; rows with threads > \
+         hardware_threads ({hw} on this host) are annotated hw_limited: true — they can \
+         only measure scheduling overhead, never speedup, and are published for \
+         completeness because results are verified bitwise identical across thread counts \
+         by the test suite",
         opts.repeats.clamp(1, 3)
     );
-    let _ = writeln!(json, "    \"stage_walls\": [");
+    let subphases_note =
+        "serial profiled run; times are summed across all starts; per_level depth 0 is the \
+         input graph, higher depths its contractions";
+    let scaling_note = format!(
+        "each row runs in a fresh process so peak_rss_mb is that size's own high-water \
+         mark; parse_ms is a pure token scan through the zero-copy stream readers, \
+         build_ms the fused streaming parse+assemble (Design::assemble_streaming); place \
+         is null above {SCALE_PLACE_MAX} cells, where only ingest is practical to time; \
+         place.heap_peak_mb is each stage's live-heap high-water mark (the count restarts \
+         at every stage begin) and place.bytes_per_cell the placement's overall live-heap \
+         peak per cell, both counted by an allocator that only the fresh child process \
+         arms"
+    );
     let base = &stage_walls[0];
-    for (i, w) in stage_walls.iter().enumerate() {
-        let comma = if i + 1 < stage_walls.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {}, \"hw_limited\": {}, \"total_ms\": {:.1}, \"global_ms\": {:.1}, \"coarse_ms\": {:.1}, \"detail_ms\": {:.1}, \"speedup_total\": {:.2}, \"speedup_global\": {:.2}, \"speedup_coarse\": {:.2}}}{comma}",
-            w.threads,
-            w.threads > hw,
-            w.total_ms,
-            w.global_ms,
-            w.coarse_ms,
-            w.detail_ms,
-            base.total_ms / w.total_ms,
-            base.global_ms / w.global_ms,
-            base.coarse_ms / w.coarse_ms,
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"bisection_subphases\": {{");
-    let _ = writeln!(json, "      \"vertices\": {},", kernel_cells);
-    let _ = writeln!(json, "      \"starts\": 8,");
-    let _ = writeln!(
-        json,
-        "      \"note\": \"serial profiled run; times are summed across all starts; per_level depth 0 is the input graph, higher depths its contractions\","
-    );
-    let _ = writeln!(
-        json,
-        "      \"coarsen_ms\": {:.3}, \"initial_ms\": {:.3}, \"fm_refine_ms\": {:.3}, \"levels\": {},",
-        bisect_profile.coarsen_ms,
-        bisect_profile.initial_ms,
-        bisect_profile.refine_ms,
-        bisect_profile.levels
-    );
-    let _ = writeln!(json, "      \"per_level\": [");
-    for (d, lvl) in bisect_profile.per_level.iter().enumerate() {
-        let comma = if d + 1 < bisect_profile.per_level.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            json,
-            "        {{\"depth\": {d}, \"vertices\": {}, \"coarsen_ms\": {:.3}, \"fm_refine_ms\": {:.3}}}{comma}",
-            lvl.vertices, lvl.coarsen_ms, lvl.refine_ms
-        );
-    }
-    let _ = writeln!(json, "      ]");
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"scaling\": {{");
-    let _ = writeln!(
-        json,
-        "    \"note\": \"each row runs in a fresh process so peak_rss_mb is that size's own high-water mark; parse_ms is a pure token scan through the zero-copy stream readers, build_ms the fused streaming parse+assemble (Design::assemble_streaming); place is null above {SCALE_PLACE_MAX} cells, where only ingest is practical to time; place.heap_peak_mb is each stage's live-heap high-water mark (the count restarts at every stage begin) and place.bytes_per_cell the placement's overall live-heap peak per cell, both counted by an allocator that only the fresh child process arms\","
-    );
-    let _ = writeln!(json, "    \"rows\": [");
-    for (i, row) in scale_rows.iter().enumerate() {
-        let comma = if i + 1 < scale_rows.len() { "," } else { "" };
-        let _ = writeln!(json, "      {row}{comma}");
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-
+    let stage_walls: Vec<Value> = stage_walls
+        .iter()
+        .map(|w| {
+            obj(vec![
+                ("threads", uint(w.threads)),
+                ("hw_limited", Value::Bool(w.threads > hw)),
+                ("total_ms", Value::Num(w.total_ms)),
+                ("global_ms", Value::Num(w.global_ms)),
+                ("coarse_ms", Value::Num(w.coarse_ms)),
+                ("detail_ms", Value::Num(w.detail_ms)),
+                ("speedup_total", Value::Num(base.total_ms / w.total_ms)),
+                ("speedup_global", Value::Num(base.global_ms / w.global_ms)),
+                ("speedup_coarse", Value::Num(base.coarse_ms / w.coarse_ms)),
+            ])
+        })
+        .collect();
+    let per_level: Vec<Value> = bisect_profile
+        .per_level
+        .iter()
+        .enumerate()
+        .map(|(depth, lvl)| {
+            obj(vec![
+                ("depth", uint(depth)),
+                ("vertices", uint(lvl.vertices)),
+                ("coarsen_ms", Value::Num(lvl.coarsen_ms)),
+                ("fm_refine_ms", Value::Num(lvl.refine_ms)),
+            ])
+        })
+        .collect();
+    let report = obj(vec![
+        ("harness", s("hotpaths")),
+        ("hardware_threads", uint(hw)),
+        ("note", s(note)),
+        (
+            "thread_counts",
+            Value::Arr(thread_counts.iter().map(|&t| uint(t)).collect()),
+        ),
+        (
+            "thermal_solve",
+            obj(vec![
+                ("grid", s(format!("{0}x{0}x{1}", opts.grid, layers))),
+                ("cold_ms_by_threads", Value::Obj(thermal_cold)),
+                ("cold_cg_iterations", uint(cold_iterations)),
+                ("warm_2pct_drift_ms", Value::Num(warm_ms)),
+                ("warm_2pct_drift_cg_iterations", uint(warm_iterations)),
+            ]),
+        ),
+        (
+            "thermal_scaling",
+            obj(vec![
+                ("note", s(thermal_scaling_note)),
+                ("grids", Value::Arr(scaling)),
+            ]),
+        ),
+        (
+            "objective_rebuild",
+            obj(vec![
+                ("cells", uint(kernel_cells)),
+                ("nets", uint(netlist.num_nets())),
+                ("ms_by_threads", Value::Obj(rebuild)),
+            ]),
+        ),
+        (
+            "netweight",
+            obj(vec![
+                ("nets", uint(netlist.num_nets())),
+                ("ms_by_threads", Value::Obj(netweight)),
+            ]),
+        ),
+        (
+            "delta_pricing",
+            obj(vec![
+                ("cells", uint(kernel_cells)),
+                ("probes", uint(num_probes)),
+                ("high_fanout_cells", uint(hf_cells)),
+                ("note", s(pricing_note)),
+                ("move_pricing", pricing(move_ns, move_rescan_ns)),
+                ("swap_pricing", pricing(swap_ns, swap_rescan_ns)),
+                ("commit", obj(vec![("ns_per_op", Value::Num(commit_ns))])),
+                ("high_fanout_move_pricing", pricing(hf_ns, hf_rescan_ns)),
+            ]),
+        ),
+        (
+            "bisection",
+            obj(vec![
+                ("vertices", uint(kernel_cells)),
+                ("starts", uint(8)),
+                ("ms_by_threads", Value::Obj(bisection)),
+            ]),
+        ),
+        (
+            "pipeline",
+            obj(vec![
+                ("cells", uint(kernel_cells)),
+                ("partition_starts", uint(4)),
+                ("ms_by_threads", Value::Obj(pipeline)),
+                ("thermal_trajectory", Value::Arr(trajectory)),
+            ]),
+        ),
+        (
+            "parallel_scaling",
+            obj(vec![
+                ("cells", uint(kernel_cells)),
+                ("note", s(parallel_note)),
+                ("stage_walls", Value::Arr(stage_walls)),
+                (
+                    "bisection_subphases",
+                    obj(vec![
+                        ("vertices", uint(kernel_cells)),
+                        ("starts", uint(8)),
+                        ("note", s(subphases_note)),
+                        ("coarsen_ms", Value::Num(bisect_profile.coarsen_ms)),
+                        ("initial_ms", Value::Num(bisect_profile.initial_ms)),
+                        ("fm_refine_ms", Value::Num(bisect_profile.refine_ms)),
+                        ("levels", uint(bisect_profile.levels)),
+                        ("per_level", Value::Arr(per_level)),
+                    ]),
+                ),
+            ]),
+        ),
+        (
+            "scaling",
+            obj(vec![
+                ("note", s(scaling_note)),
+                ("rows", Value::Arr(scale_rows)),
+            ]),
+        ),
+    ]);
+    let mut json = report.to_json();
+    json.push('\n');
     std::fs::write(&opts.out, &json).expect("write report");
-    println!("{json}");
+    print!("{json}");
     eprintln!("hotpaths: wrote {}", opts.out);
 }

@@ -99,47 +99,9 @@ impl Design {
         scl: Option<&SclFile>,
         options: DesignBuilderOptions,
     ) -> Result<Self, AssembleDesignError> {
-        Self::assemble_with(name, nodes, nets, wts, pl, scl, options, false)
-    }
-
-    /// [`assemble`](Self::assemble) with the netlist builder in permissive
-    /// mode: degenerate cell dimensions are admitted instead of rejected,
-    /// so validation and repair tooling can load broken designs and report
-    /// on them. Connectivity errors are still hard failures.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`assemble`](Self::assemble), minus dimension rejections.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_permissive(
-        name: impl Into<String>,
-        nodes: &NodesFile,
-        nets: &NetsFile,
-        wts: Option<&WtsFile>,
-        pl: Option<&PlFile>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-    ) -> Result<Self, AssembleDesignError> {
-        Self::assemble_with(name, nodes, nets, wts, pl, scl, options, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_with(
-        name: impl Into<String>,
-        nodes: &NodesFile,
-        nets: &NetsFile,
-        wts: Option<&WtsFile>,
-        pl: Option<&PlFile>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-        permissive: bool,
-    ) -> Result<Self, AssembleDesignError> {
         let scale = options.meters_per_unit;
         let mut builder =
             NetlistBuilder::with_capacity(nodes.nodes.len(), nets.nets.len(), nets.num_pins());
-        if permissive {
-            builder = builder.permissive();
-        }
         let mut by_name: HashMap<&str, CellId> = HashMap::with_capacity(nodes.nodes.len());
         for record in &nodes.nodes {
             let kind = if record.terminal {
@@ -262,28 +224,6 @@ impl Design {
     ) -> Result<Self, LoadDesignError> {
         Self::assemble_streaming_with(
             name, nodes_text, nets_text, wts_text, pl_text, scl, options, false,
-        )
-    }
-
-    /// [`assemble_streaming`](Self::assemble_streaming) with the netlist
-    /// builder in permissive mode (see
-    /// [`assemble_permissive`](Self::assemble_permissive)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`assemble_streaming`](Self::assemble_streaming), minus
-    /// dimension rejections.
-    pub fn assemble_streaming_permissive(
-        name: impl Into<String>,
-        nodes_text: &str,
-        nets_text: &str,
-        wts_text: Option<&str>,
-        pl_text: Option<&str>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-    ) -> Result<Self, LoadDesignError> {
-        Self::assemble_streaming_with(
-            name, nodes_text, nets_text, wts_text, pl_text, scl, options, true,
         )
     }
 
@@ -503,10 +443,10 @@ impl Design {
         Self::load_with(aux_path.as_ref(), options, false)
     }
 
-    /// [`load`](Self::load) with the netlist builder in permissive mode
-    /// (see [`assemble_permissive`](Self::assemble_permissive)): designs
-    /// with degenerate cell dimensions load so `tvp validate` can diagnose
-    /// and repair them.
+    /// [`load`](Self::load) with the netlist builder in permissive mode:
+    /// degenerate cell dimensions are admitted instead of rejected, so
+    /// `tvp validate` can diagnose and repair such designs. Connectivity
+    /// errors are still hard failures.
     ///
     /// # Errors
     ///
@@ -826,18 +766,7 @@ mod tests {
 
     #[test]
     fn permissive_load_admits_degenerate_dims_for_repair_tooling() {
-        let nodes = parse_nodes("NumNodes : 2\nNumTerminals : 0\n a 0 0\n b 1 1\n").unwrap();
-        let nets = parse_nets("NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n b I\n").unwrap();
         let opts = DesignBuilderOptions::default();
-        let err = Design::assemble("x", &nodes, &nets, None, None, None, opts).unwrap_err();
-        assert!(matches!(err, AssembleDesignError::Netlist(_)));
-
-        let d = Design::assemble_permissive("x", &nodes, &nets, None, None, None, opts)
-            .expect("permissive assembly admits zero-area cells");
-        assert_eq!(d.netlist.num_cells(), 2);
-        assert_eq!(d.netlist.cells()[0].width(), 0.0);
-
-        // And the same contrast through the on-disk loader.
         let dir = std::env::temp_dir().join(format!("tvp_bs_perm_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("x.aux"), "RowBasedPlacement : x.nodes x.nets\n").unwrap();
@@ -854,6 +783,7 @@ mod tests {
         assert!(Design::load(dir.join("x.aux"), opts).is_err());
         let loaded = Design::load_permissive(dir.join("x.aux"), opts).unwrap();
         assert_eq!(loaded.netlist.num_cells(), 2);
+        assert_eq!(loaded.netlist.cells()[0].width(), 0.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

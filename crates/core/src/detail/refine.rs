@@ -2,15 +2,13 @@
 //! coarse/detailed machinery "can be repeated during a post-optimization
 //! phase"; this pass keeps the placement legal the whole time).
 //!
-//! Three local move kinds, each priced with the exact objective delta and
+//! Two local move kinds, each priced with the exact objective delta and
 //! executed only when strictly improving:
 //!
 //! 1. **Slide** — move a cell within the free gap between its row
 //!    neighbors toward its optimal x.
 //! 2. **Adjacent swap** — exchange two neighboring cells in a row (always
 //!    legal: the pair re-packs inside its own span).
-//! 3. **Gap hop** — move a cell into a free gap of a nearby row (same or
-//!    adjacent layer) when the gap fits it.
 
 use crate::engine::StageRun;
 use crate::objective::{CellMove, IncrementalObjective};
@@ -70,8 +68,6 @@ pub struct RefineStats {
     pub slides: usize,
     /// Adjacent swaps executed.
     pub swaps: usize,
-    /// Gap hops executed.
-    pub hops: usize,
     /// Total objective improvement (positive = better).
     pub improvement: f64,
 }

@@ -48,6 +48,7 @@ pub mod engine;
 mod error;
 pub mod faults;
 pub mod global;
+pub mod json;
 pub mod metrics;
 pub mod netweight;
 pub mod objective;

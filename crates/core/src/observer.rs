@@ -18,6 +18,7 @@
 //!
 //! [`enabled`]: PlacerObserver::enabled
 
+use crate::json::{obj, s, Value};
 use crate::placer::ThermalSnapshot;
 use std::io::Write;
 
@@ -283,105 +284,82 @@ impl<W: Write> PlacerObserver for JsonlObserver<W> {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders one finite float as JSON (JSON has no NaN/∞; those become
-/// `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders one event as a single-line JSON object (no trailing newline).
 pub fn event_to_json(event: &PlacerEvent) -> String {
-    match event {
+    let uint = |n: usize| Value::UInt(n as u64);
+    let value = match event {
         PlacerEvent::RunBegin {
             stages,
             resumed_from,
-        } => {
-            let list = stages
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let resumed = match resumed_from {
-                Some(i) => i.to_string(),
-                None => "null".to_string(),
-            };
-            format!("{{\"event\":\"run_begin\",\"stages\":[{list}],\"resumed_from\":{resumed}}}")
-        }
-        PlacerEvent::StageSkipped { index, stage } => format!(
-            "{{\"event\":\"stage_skipped\",\"index\":{index},\"stage\":\"{}\"}}",
-            json_escape(stage)
-        ),
-        PlacerEvent::StageBegin { index, stage } => format!(
-            "{{\"event\":\"stage_begin\",\"index\":{index},\"stage\":\"{}\"}}",
-            json_escape(stage)
-        ),
+        } => obj(vec![
+            ("event", s("run_begin")),
+            ("stages", Value::Arr(stages.iter().map(s).collect())),
+            ("resumed_from", resumed_from.map_or(Value::Null, uint)),
+        ]),
+        PlacerEvent::StageSkipped { index, stage } => obj(vec![
+            ("event", s("stage_skipped")),
+            ("index", uint(*index)),
+            ("stage", s(stage)),
+        ]),
+        PlacerEvent::StageBegin { index, stage } => obj(vec![
+            ("event", s("stage_begin")),
+            ("index", uint(*index)),
+            ("stage", s(stage)),
+        ]),
         PlacerEvent::Pass { index, stage, pass } => {
-            let body = match pass {
+            let mut pairs = vec![
+                ("event", s("pass")),
+                ("index", uint(*index)),
+                ("stage", s(stage)),
+            ];
+            pairs.extend(match *pass {
                 PassEvent::CoarseMoves {
                     pass,
                     improved,
                     objective,
-                } => format!(
-                    "\"kind\":\"coarse_moves\",\"pass\":{pass},\"improved\":{improved},\
-                     \"objective\":{}",
-                    json_f64(*objective)
-                ),
+                } => vec![
+                    ("kind", s("coarse_moves")),
+                    ("pass", uint(pass)),
+                    ("improved", uint(improved)),
+                    ("objective", Value::Num(objective)),
+                ],
                 PassEvent::CoarseShift {
                     iterations,
                     max_density,
                     objective,
-                } => format!(
-                    "\"kind\":\"coarse_shift\",\"iterations\":{iterations},\"max_density\":{},\
-                     \"objective\":{}",
-                    json_f64(*max_density),
-                    json_f64(*objective)
-                ),
+                } => vec![
+                    ("kind", s("coarse_shift")),
+                    ("iterations", uint(iterations)),
+                    ("max_density", Value::Num(max_density)),
+                    ("objective", Value::Num(objective)),
+                ],
                 PassEvent::ShiftPass {
                     pass,
                     moved,
                     max_boundary_delta,
                     max_density,
                     wall_ms,
-                } => format!(
-                    "\"kind\":\"shift_pass\",\"pass\":{pass},\"moved\":{moved},\
-                     \"max_boundary_delta\":{},\"max_density\":{},\"wall_ms\":{}",
-                    json_f64(*max_boundary_delta),
-                    json_f64(*max_density),
-                    json_f64(*wall_ms)
-                ),
-                PassEvent::DetailRows { layer, rows, cells } => format!(
-                    "\"kind\":\"detail_rows\",\"layer\":{layer},\"rows\":{rows},\"cells\":{cells}"
-                ),
-                PassEvent::RefinePass { pass, improvement } => format!(
-                    "\"kind\":\"refine_pass\",\"pass\":{pass},\"improvement\":{}",
-                    json_f64(*improvement)
-                ),
-            };
-            format!(
-                "{{\"event\":\"pass\",\"index\":{index},\"stage\":\"{}\",{body}}}",
-                json_escape(stage)
-            )
+                } => vec![
+                    ("kind", s("shift_pass")),
+                    ("pass", uint(pass)),
+                    ("moved", uint(moved)),
+                    ("max_boundary_delta", Value::Num(max_boundary_delta)),
+                    ("max_density", Value::Num(max_density)),
+                    ("wall_ms", Value::Num(wall_ms)),
+                ],
+                PassEvent::DetailRows { layer, rows, cells } => vec![
+                    ("kind", s("detail_rows")),
+                    ("layer", uint(layer)),
+                    ("rows", uint(rows)),
+                    ("cells", uint(cells)),
+                ],
+                PassEvent::RefinePass { pass, improvement } => vec![
+                    ("kind", s("refine_pass")),
+                    ("pass", uint(pass)),
+                    ("improvement", Value::Num(improvement)),
+                ],
+            });
+            obj(pairs)
         }
         PlacerEvent::StageEnd {
             index,
@@ -389,53 +367,55 @@ pub fn event_to_json(event: &PlacerEvent) -> String {
             seconds,
             objective,
             interrupted,
-        } => format!(
-            "{{\"event\":\"stage_end\",\"index\":{index},\"stage\":\"{}\",\"seconds\":{},\
-             \"objective\":{},\"interrupted\":{interrupted}}}",
-            json_escape(stage),
-            json_f64(*seconds),
-            json_f64(*objective)
-        ),
-        PlacerEvent::ThermalSolved { snapshot } => format!(
-            "{{\"event\":\"thermal\",\"stage\":\"{}\",\"avg_c\":{},\"max_c\":{},\
-             \"cg_iterations\":{},\"warm_started\":{},\"preconditioner\":\"{}\",\
-             \"initial_residual\":{}}}",
-            json_escape(snapshot.stage),
-            json_f64(snapshot.avg_temperature),
-            json_f64(snapshot.max_temperature),
-            snapshot.cg_iterations,
-            snapshot.warm_started,
-            json_escape(snapshot.preconditioner),
-            json_f64(snapshot.initial_residual)
-        ),
-        PlacerEvent::CheckpointWritten { index, stage, path } => format!(
-            "{{\"event\":\"checkpoint\",\"index\":{index},\"stage\":\"{}\",\"path\":\"{}\"}}",
-            json_escape(stage),
-            json_escape(path)
-        ),
-        PlacerEvent::FaultInjected { kind, site } => format!(
-            "{{\"event\":\"fault_injected\",\"kind\":\"{}\",\"site\":\"{}\"}}",
-            json_escape(kind),
-            json_escape(site)
-        ),
-        PlacerEvent::Degraded { kind, detail } => format!(
-            "{{\"event\":\"degraded\",\"kind\":\"{}\",\"detail\":\"{}\"}}",
-            json_escape(kind),
-            json_escape(detail)
-        ),
-        PlacerEvent::CheckpointQuarantined { path, reason } => format!(
-            "{{\"event\":\"checkpoint_quarantined\",\"path\":\"{}\",\"reason\":\"{}\"}}",
-            json_escape(path),
-            json_escape(reason)
-        ),
+        } => obj(vec![
+            ("event", s("stage_end")),
+            ("index", uint(*index)),
+            ("stage", s(stage)),
+            ("seconds", Value::Num(*seconds)),
+            ("objective", Value::Num(*objective)),
+            ("interrupted", Value::Bool(*interrupted)),
+        ]),
+        PlacerEvent::ThermalSolved { snapshot } => obj(vec![
+            ("event", s("thermal")),
+            ("stage", s(snapshot.stage)),
+            ("avg_c", Value::Num(snapshot.avg_temperature)),
+            ("max_c", Value::Num(snapshot.max_temperature)),
+            ("cg_iterations", uint(snapshot.cg_iterations)),
+            ("warm_started", Value::Bool(snapshot.warm_started)),
+            ("preconditioner", s(snapshot.preconditioner)),
+            ("initial_residual", Value::Num(snapshot.initial_residual)),
+        ]),
+        PlacerEvent::CheckpointWritten { index, stage, path } => obj(vec![
+            ("event", s("checkpoint")),
+            ("index", uint(*index)),
+            ("stage", s(stage)),
+            ("path", s(path)),
+        ]),
+        PlacerEvent::FaultInjected { kind, site } => obj(vec![
+            ("event", s("fault_injected")),
+            ("kind", s(kind)),
+            ("site", s(site)),
+        ]),
+        PlacerEvent::Degraded { kind, detail } => obj(vec![
+            ("event", s("degraded")),
+            ("kind", s(kind)),
+            ("detail", s(detail)),
+        ]),
+        PlacerEvent::CheckpointQuarantined { path, reason } => obj(vec![
+            ("event", s("checkpoint_quarantined")),
+            ("path", s(path)),
+            ("reason", s(reason)),
+        ]),
         PlacerEvent::RunEnd {
             seconds,
             stopped_early,
-        } => format!(
-            "{{\"event\":\"run_end\",\"seconds\":{},\"stopped_early\":{stopped_early}}}",
-            json_f64(*seconds)
-        ),
-    }
+        } => obj(vec![
+            ("event", s("run_end")),
+            ("seconds", Value::Num(*seconds)),
+            ("stopped_early", Value::Bool(*stopped_early)),
+        ]),
+    };
+    value.to_json()
 }
 
 #[cfg(test)]
@@ -549,10 +529,127 @@ mod tests {
         assert!(event_to_json(&events[2]).contains("\"event\":\"checkpoint_quarantined\""));
     }
 
+    /// Pins the exact JSONL bytes of every event variant and every pass
+    /// kind: key order, compact form, integers as integers, `null` for
+    /// non-finite numbers, string escapes, and `-0.0` written as `0`.
     #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(2.5), "2.5");
+    fn every_event_renders_its_pinned_line() {
+        let pass = |pass| PlacerEvent::Pass {
+            index: 1,
+            stage: "coarse[0]".into(),
+            pass,
+        };
+        let events = [
+            PlacerEvent::RunBegin {
+                stages: vec!["global".into(), "coarse[0]".into()],
+                resumed_from: None,
+            },
+            PlacerEvent::RunBegin {
+                stages: vec![],
+                resumed_from: Some(2),
+            },
+            PlacerEvent::StageSkipped {
+                index: 0,
+                stage: "global".into(),
+            },
+            PlacerEvent::StageBegin {
+                index: 1,
+                stage: "coarse[0]".into(),
+            },
+            pass(PassEvent::CoarseMoves {
+                pass: 0,
+                improved: 3,
+                objective: 0.25,
+            }),
+            pass(PassEvent::CoarseShift {
+                iterations: 4,
+                max_density: f64::NAN,
+                objective: 2.0,
+            }),
+            pass(PassEvent::ShiftPass {
+                pass: 7,
+                moved: 1234,
+                max_boundary_delta: 0.025,
+                max_density: 1.875,
+                wall_ms: f64::INFINITY,
+            }),
+            pass(PassEvent::DetailRows {
+                layer: 1,
+                rows: 12,
+                cells: 250,
+            }),
+            pass(PassEvent::RefinePass {
+                pass: 1,
+                improvement: -0.0,
+            }),
+            PlacerEvent::StageEnd {
+                index: 1,
+                stage: "coarse[0]".into(),
+                seconds: 0.31,
+                objective: 1.0e-12,
+                interrupted: false,
+            },
+            PlacerEvent::ThermalSolved {
+                snapshot: ThermalSnapshot {
+                    stage: "final",
+                    avg_temperature: 45.5,
+                    max_temperature: 1.0e20,
+                    cg_iterations: 17,
+                    warm_started: true,
+                    preconditioner: "multigrid",
+                    initial_residual: -3.5,
+                },
+            },
+            PlacerEvent::CheckpointWritten {
+                index: 1,
+                stage: "coarse[0]".into(),
+                path: "ck/stage-001.pl".into(),
+            },
+            PlacerEvent::FaultInjected {
+                kind: "nan-power".into(),
+                site: "global".into(),
+            },
+            PlacerEvent::Degraded {
+                kind: "thermal-degraded".into(),
+                detail: "CG said \"no\" at C:\\x\nthen\tJacobi".into(),
+            },
+            PlacerEvent::CheckpointQuarantined {
+                path: "ck/manifest.tvp.corrupt".into(),
+                reason: "bell\u{7}".into(),
+            },
+            PlacerEvent::RunEnd {
+                seconds: 1.5,
+                stopped_early: true,
+            },
+        ];
+        let expected = [
+            r#"{"event":"run_begin","stages":["global","coarse[0]"],"resumed_from":null}"#,
+            r#"{"event":"run_begin","stages":[],"resumed_from":2}"#,
+            r#"{"event":"stage_skipped","index":0,"stage":"global"}"#,
+            r#"{"event":"stage_begin","index":1,"stage":"coarse[0]"}"#,
+            r#"{"event":"pass","index":1,"stage":"coarse[0]","kind":"coarse_moves","pass":0,"improved":3,"objective":0.25}"#,
+            r#"{"event":"pass","index":1,"stage":"coarse[0]","kind":"coarse_shift","iterations":4,"max_density":null,"objective":2}"#,
+            r#"{"event":"pass","index":1,"stage":"coarse[0]","kind":"shift_pass","pass":7,"moved":1234,"max_boundary_delta":0.025,"max_density":1.875,"wall_ms":null}"#,
+            r#"{"event":"pass","index":1,"stage":"coarse[0]","kind":"detail_rows","layer":1,"rows":12,"cells":250}"#,
+            r#"{"event":"pass","index":1,"stage":"coarse[0]","kind":"refine_pass","pass":1,"improvement":0}"#,
+            r#"{"event":"stage_end","index":1,"stage":"coarse[0]","seconds":0.31,"objective":0.000000000001,"interrupted":false}"#,
+            r#"{"event":"thermal","stage":"final","avg_c":45.5,"max_c":100000000000000000000,"cg_iterations":17,"warm_started":true,"preconditioner":"multigrid","initial_residual":-3.5}"#,
+            r#"{"event":"checkpoint","index":1,"stage":"coarse[0]","path":"ck/stage-001.pl"}"#,
+            r#"{"event":"fault_injected","kind":"nan-power","site":"global"}"#,
+            r#"{"event":"degraded","kind":"thermal-degraded","detail":"CG said \"no\" at C:\\x\nthen\tJacobi"}"#,
+            r#"{"event":"checkpoint_quarantined","path":"ck/manifest.tvp.corrupt","reason":"bell\u0007"}"#,
+            r#"{"event":"run_end","seconds":1.5,"stopped_early":true}"#,
+        ];
+        let mut sink = JsonlObserver::new(Vec::new());
+        for e in &events {
+            sink.event(e);
+        }
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        assert!(text.ends_with('\n'));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), expected.len());
+        for (line, want) in lines.iter().zip(expected) {
+            assert_eq!(*line, want);
+        }
     }
 }

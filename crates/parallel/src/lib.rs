@@ -15,11 +15,9 @@
 //!    never consults the thread count, so the same input always produces
 //!    the same chunk boundaries regardless of `--threads`.
 //! 2. **Reductions fold chunk partials in chunk order** on the calling
-//!    thread. Floating-point sums are therefore bitwise identical for any
-//!    thread count ≥ 2. (Callers keep their original single-accumulator
-//!    loop for the `threads == 1` path, which stays bitwise identical to
-//!    the historical serial engine; the two paths agree to ~1e-9
-//!    relative, which the equivalence test suite enforces.)
+//!    thread. A single thread computes the same chunks inline and folds
+//!    them in the same order, so floating-point sums are bitwise
+//!    identical for every thread count, 1 included.
 //!
 //! # Thread-count scoping
 //!
@@ -28,8 +26,8 @@
 //! a closure, and every task spawned underneath inherits it. This keeps
 //! concurrent placer runs with different `--threads` settings (e.g. the
 //! equivalence tests, which run serial and parallel placements from the
-//! same process) fully isolated from each other. [`set_threads`] sets the
-//! process-wide default used when no scope is active.
+//! same process) fully isolated from each other. Outside any scope the
+//! count is the hardware parallelism.
 //!
 //! # Blocking and nesting
 //!
@@ -50,7 +48,6 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -76,9 +73,6 @@ struct PoolState {
     spawned: usize,
 }
 
-/// Process-wide default thread count; 0 = unset (resolve to hardware).
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Scope override installed by [`with_threads`]; 0 = none.
     static SCOPE_THREADS: Cell<usize> = const { Cell::new(0) };
@@ -102,22 +96,11 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Sets the process-wide default thread count. `0` means "use all
-/// hardware threads". Scoped overrides from [`with_threads`] win over
-/// this default.
-pub fn set_threads(n: usize) {
-    DEFAULT_THREADS.store(n.min(MAX_THREADS), Ordering::Relaxed);
-}
-
 /// The effective thread count at this point: the innermost
-/// [`with_threads`] scope if one is active, else the [`set_threads`]
-/// default, else the hardware parallelism.
+/// [`with_threads`] scope if one is active, else the hardware
+/// parallelism.
 pub fn threads() -> usize {
-    let scoped = SCOPE_THREADS.with(Cell::get);
-    if scoped != 0 {
-        return scoped;
-    }
-    match DEFAULT_THREADS.load(Ordering::Relaxed) {
+    match SCOPE_THREADS.with(Cell::get) {
         0 => available_threads(),
         n => n,
     }
@@ -363,7 +346,7 @@ pub fn map_chunks<R: Send>(
 
 /// Ordered-deterministic chunked sum: chunk partials (computed in
 /// parallel) folded left-to-right on the caller. Bitwise identical for
-/// every thread count ≥ 2.
+/// every thread count, 1 included.
 pub fn sum_chunks(len: usize, min_chunk: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
     map_chunks(len, min_chunk, f).into_iter().sum()
 }
@@ -586,7 +569,7 @@ pub fn map_indexed<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn chunk_ranges_tile_exactly() {

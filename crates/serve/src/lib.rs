@@ -31,8 +31,9 @@
 
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod metrics;
 pub mod server;
 
 pub use server::{Server, ServerConfig};
+/// The JSON codec, which lives in tvp-core beside its other users.
+pub use tvp_core::json;

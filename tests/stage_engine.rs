@@ -4,6 +4,7 @@
 use std::time::Duration;
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_core::detail::check_legal;
+use tvp_core::json::Value;
 use tvp_core::{
     CancelToken, JsonlObserver, PassEvent, PlaceError, PlaceOptions, Placer, PlacerConfig,
     PlacerEvent, PlacerObserver, RecordingObserver,
@@ -379,38 +380,38 @@ fn jsonl_trace_replays_the_full_event_sequence() {
         )
         .unwrap();
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
+    // Every line is one JSON object; keep its `event` and `stage` fields.
+    let events: Vec<(String, Option<String>)> = text
+        .lines()
+        .map(|line| {
+            let v = Value::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let field = |key| v.get(key).and_then(Value::as_str).map(str::to_string);
+            (
+                field("event").expect("every line names its event"),
+                field("stage"),
+            )
+        })
+        .collect();
+    let position = |event: &str, stage: &str| {
+        events
+            .iter()
+            .position(|(e, s)| e == event && s.as_deref() == Some(stage))
+    };
 
-    assert!(lines.first().unwrap().contains("\"event\":\"run_begin\""));
-    assert!(lines.last().unwrap().contains("\"event\":\"run_end\""));
-    for line in &lines {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "each line must be one JSON object: {line}"
-        );
-    }
+    assert_eq!(events.first().unwrap().0, "run_begin");
+    assert_eq!(events.last().unwrap().0, "run_end");
     // Every planned stage begins and ends exactly once, in order, with at
     // least one pass event inside each coarse/detail stage.
     let expect_stage = |stage: &str, expect_passes: bool| {
-        let begin = lines
-            .iter()
-            .position(|l| {
-                l.contains("\"event\":\"stage_begin\",\"index\"")
-                    && l.contains(&format!("\"stage\":\"{stage}\""))
-            })
+        let begin = position("stage_begin", stage)
             .unwrap_or_else(|| panic!("missing stage_begin for {stage}"));
-        let end = lines
-            .iter()
-            .position(|l| {
-                l.contains("\"event\":\"stage_end\"")
-                    && l.contains(&format!("\"stage\":\"{stage}\""))
-            })
-            .unwrap_or_else(|| panic!("missing stage_end for {stage}"));
+        let end =
+            position("stage_end", stage).unwrap_or_else(|| panic!("missing stage_end for {stage}"));
         assert!(begin < end, "{stage} must begin before it ends");
         if expect_passes {
-            let passes = lines[begin..end]
+            let passes = events[begin..end]
                 .iter()
-                .filter(|l| l.contains("\"event\":\"pass\""))
+                .filter(|(e, s)| e == "pass" && s.as_deref() == Some(stage))
                 .count();
             assert!(passes > 0, "{stage} should report pass progress");
         }
@@ -420,10 +421,7 @@ fn jsonl_trace_replays_the_full_event_sequence() {
         expect_stage(stage, true);
     }
     assert_eq!(
-        lines
-            .iter()
-            .filter(|l| l.contains("\"event\":\"thermal\""))
-            .count(),
+        events.iter().filter(|(e, _)| e == "thermal").count(),
         3,
         "global, coarse, final"
     );
