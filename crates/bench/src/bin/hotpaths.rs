@@ -309,6 +309,10 @@ fn high_fanout_netlist(cells: usize) -> Netlist {
     b.build().expect("high-fanout netlist builds")
 }
 
+/// Targets per cell in the `batch_move_pricing` row: about one local
+/// pass's candidate count (26 neighbour bins, a move and a swap each).
+const BATCH_TARGETS: usize = 64;
+
 /// Largest cell count at which the scaling sweep runs the full placement
 /// pipeline; above this only ingest (synth/write/parse/build) is timed.
 const SCALE_PLACE_MAX: usize = 100_000;
@@ -760,6 +764,37 @@ fn main() {
             })
             .sum()
     });
+    // The coarse moves' own-target batch fold: the same probes in blocks
+    // of `BATCH_TARGETS`, each block priced for its first probe's cell in
+    // one fold of that cell's probe entries, beside the scalar
+    // `delta_move` loop over the same (cell, target) pairs.
+    let frozen = &pricing_obj.frozen_pricer().expect("WL+ILV model");
+    let targets: Vec<(f64, f64, u16)> = probes.iter().map(|&(_, x, y, l)| (x, y, l)).collect();
+    let blocks = || {
+        probes
+            .chunks(BATCH_TARGETS)
+            .zip(targets.chunks(BATCH_TARGETS))
+            .map(|(block, targets)| (block[0].0, targets))
+    };
+    let mut sums = vec![0.0; BATCH_TARGETS];
+    let batch_ns = time_ns_per_op(opts.repeats, probes.len(), || {
+        let mut acc = 0.0;
+        for (cell, targets) in blocks() {
+            let out = &mut sums[..targets.len()];
+            frozen.delta_move_batch(cell, targets, out);
+            acc += out.iter().sum::<f64>();
+        }
+        acc
+    });
+    let batch_scalar_ns = time_ns_per_op(opts.repeats, probes.len(), || {
+        blocks()
+            .flat_map(|(cell, targets)| {
+                targets
+                    .iter()
+                    .map(move |&(x, y, l)| frozen.delta_move(cell, x, y, l))
+            })
+            .sum()
+    });
     let mut commit_ns = f64::INFINITY;
     for _ in 0..opts.repeats.max(1) {
         let mut o = IncrementalObjective::new(&netlist, &pricing_model, scattered.clone());
@@ -949,7 +984,11 @@ fn main() {
         "ns per op, WL+ILV model (default pipeline config); rescan rows run the same probe \
          pattern through the pre-delta-engine full-bbox-rescan kernel (delta_move_rescan) \
          as a live speedup denominator; the swap denominator is four rescan probes per \
-         pair, a lower bound on the mutate-and-revert swap (four commits) it replaces";
+         pair, a lower bound on the mutate-and-revert swap (four commits) it replaces; \
+         batch_move_pricing is ns per target of FrozenPricer::delta_move_batch over \
+         move_pricing's probes in blocks of targets_per_cell (each block priced for its \
+         first probe's cell), its denominator the scalar delta_move loop over the same \
+         (cell, target) pairs";
     let parallel_note = format!(
         "per-stage wall times from the placer's stage clocks, best-of-{}; speedup_* \
          divides this sweep's threads=1 wall by the row's wall; rows with threads > \
@@ -970,7 +1009,10 @@ fn main() {
          place.heap_peak_mb is each stage's live-heap high-water mark (the count restarts \
          at every stage begin) and place.bytes_per_cell the placement's overall live-heap \
          peak per cell, both counted by an allocator that only the fresh child process \
-         arms"
+         arms; rows place with 4 partition starts, and with 2 or more threads bisect runs \
+         starts concurrently, so two starts' V-cycle workspaces are live at once and set \
+         global's heap peak (at the default single start the 2-thread excess is a few \
+         percent)"
     );
     let base = &stage_walls[0];
     let stage_walls: Vec<Value> = stage_walls
@@ -1051,6 +1093,15 @@ fn main() {
                 ("note", s(pricing_note)),
                 ("move_pricing", pricing(move_ns, move_rescan_ns)),
                 ("swap_pricing", pricing(swap_ns, swap_rescan_ns)),
+                (
+                    "batch_move_pricing",
+                    obj(vec![
+                        ("targets_per_cell", uint(BATCH_TARGETS)),
+                        ("ns_per_op", Value::Num(batch_ns)),
+                        ("scalar_ns_per_op", Value::Num(batch_scalar_ns)),
+                        ("speedup", Value::Num(batch_scalar_ns / batch_ns)),
+                    ]),
+                ),
                 ("commit", obj(vec![("ns_per_op", Value::Num(commit_ns))])),
                 ("high_fanout_move_pricing", pricing(hf_ns, hf_rescan_ns)),
             ]),

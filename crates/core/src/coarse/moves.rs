@@ -27,11 +27,14 @@
 //! bitwise identical at every thread count. With the thermal term
 //! (`alpha_temp > 0`) the passes run the exact serial loop.
 //!
-//! Every probe — the cell's own candidates, its swap partners' reverse
-//! legs (the measured cost center of phase A), and the optimal-region
-//! rectangles — reads the objective's shared probe memo, so a hot-bin
+//! Every probe reads the objective's shared probe memo, so a hot-bin
 //! partner's entries build once and serve every batch until a commit
-//! touches one of its nets (DESIGN.md §11, §17).
+//! touches one of its nets (DESIGN.md §11, §17). A cell's own targets —
+//! every move and every swap's first leg — are priced in one batch fold
+//! ([`FrozenPricer::delta_move_batch`]) that reads the cell's entries
+//! once, bitwise equal to one `delta_move` per target (DESIGN.md §16);
+//! each swap's reverse leg (the partner onto the cell's position) and
+//! the optimal-region rectangles read the memo per probe.
 
 use super::mesh::DensityMesh;
 use crate::objective::{FrozenPricer, IncrementalObjective};
@@ -250,6 +253,7 @@ struct Proposal {
     action: ProposedAction,
 }
 
+#[derive(Clone, Copy)]
 enum ProposedAction {
     Move {
         bin: usize,
@@ -291,6 +295,7 @@ fn batched_pass(
             parallel::map_chunks(batch.len(), PROPOSE_MIN_CHUNK, |range| {
                 let mut opt = OptScratch::default();
                 let mut candidates = Vec::new();
+                let mut scratch = ProposeScratch::default();
                 let mut out = Vec::new();
                 for &cell in &batch[range] {
                     match mode {
@@ -316,6 +321,7 @@ fn batched_pass(
                         chip,
                         cell,
                         &candidates,
+                        &mut scratch,
                     ) {
                         out.push(p);
                     }
@@ -371,11 +377,30 @@ fn batched_pass(
     improved
 }
 
+/// Reusable buffers of [`propose_best`]: one cell's candidate actions in
+/// candidate order, the position each prices the cell at (a bin centre,
+/// or a swap partner's position), and the batch-folded deltas.
+#[derive(Default)]
+struct ProposeScratch {
+    actions: Vec<ProposedAction>,
+    targets: Vec<(f64, f64, u16)>,
+    deltas: Vec<f64>,
+}
+
 /// Phase-A analogue of [`try_best_action`]: prices every candidate
 /// against the snapshot and returns the best improving action, without
 /// executing anything. Swaps are priced as two independent single-move
 /// deltas (exact unless the cells share a net — phase B's exact re-price
 /// settles those).
+///
+/// Every move target and every swap's first leg moves the same cell, so
+/// they are priced in one batch fold of the cell's probe entries
+/// ([`FrozenPricer::delta_move_batch`], bitwise equal to one
+/// `delta_move` each); only each swap's second leg (the partner onto
+/// the cell's position) is a probe of its own. The first-best selection
+/// then walks the candidates in their original order, a bin's move
+/// before its swap.
+#[allow(clippy::too_many_arguments)]
 fn propose_best(
     frozen: &FrozenPricer<'_>,
     mesh: &DensityMesh,
@@ -384,11 +409,13 @@ fn propose_best(
     chip: &Chip,
     cell: CellId,
     candidates: &[usize],
+    scratch: &mut ProposeScratch,
 ) -> Option<Proposal> {
     let current_bin = mesh.bin_of(cell);
     let cell_area = netlist.cell(cell).area();
-    let pa = frozen.placement().position(cell);
-    let mut best: Option<(f64, ProposedAction)> = None;
+    let placement = frozen.placement();
+    scratch.actions.clear();
+    scratch.targets.clear();
     for &b in candidates {
         if b == current_bin {
             continue;
@@ -397,28 +424,33 @@ fn propose_best(
         if headroom >= 0.0 {
             let (bx, by, layer) = mesh.bin_center(b);
             let (bx, by) = chip.clamp(bx, by);
-            let delta = frozen.delta_move(cell, bx, by, layer);
-            if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
-                best = Some((
-                    delta,
-                    ProposedAction::Move {
-                        bin: b,
-                        x: bx,
-                        y: by,
-                        layer,
-                    },
-                ));
-            }
+            scratch.actions.push(ProposedAction::Move {
+                bin: b,
+                x: bx,
+                y: by,
+                layer,
+            });
+            scratch.targets.push((bx, by, layer));
         }
         // `cell` never resides in a scanned bin (its own bin is skipped
         // above), so the index lookup needs no self-exclusion.
         if let Some(partner) = partners.nearest(b, cell_area) {
-            let pb = frozen.placement().position(partner);
-            let mut delta = frozen.delta_move(cell, pb.0, pb.1, pb.2);
-            delta += frozen.delta_move(partner, pa.0, pa.1, pa.2);
-            if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
-                best = Some((delta, ProposedAction::Swap { with: partner }));
-            }
+            scratch.actions.push(ProposedAction::Swap { with: partner });
+            scratch.targets.push(placement.position(partner));
+        }
+    }
+    scratch.deltas.resize(scratch.targets.len(), 0.0);
+    frozen.delta_move_batch(cell, &scratch.targets, &mut scratch.deltas);
+
+    let pa = placement.position(cell);
+    let mut best: Option<(f64, ProposedAction)> = None;
+    for (&action, &first) in scratch.actions.iter().zip(&scratch.deltas) {
+        let mut delta = first;
+        if let ProposedAction::Swap { with } = action {
+            delta += frozen.delta_move(with, pa.0, pa.1, pa.2);
+        }
+        if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
+            best = Some((delta, action));
         }
     }
     best.map(|(_, action)| Proposal { cell, action })

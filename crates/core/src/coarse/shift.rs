@@ -19,12 +19,17 @@
 //! * **Phase A** plans every row of the sweep concurrently through
 //!   [`tvp_parallel::map_chunks`] — boundary solve, cell remaps, and
 //!   Eq. 17 move pricing against a [`FrozenPricer`] snapshot, with no
-//!   shared mutable state (each chunk owns its scratch buffers). Chunk
+//!   shared mutable state (each chunk owns its scratch buffers). A
+//!   cell's full and half remap are priced in one batch fold of probe
+//!   entries built on the spot: the sweep's commit drops every memo
+//!   slot a fill would create, so planning fills none. Chunk
 //!   boundaries are a pure function of the row count, never the thread
 //!   count, so the planned move list is bitwise identical for any
 //!   `--threads` setting.
-//! * **Phase B** commits the planned rows serially in fixed (k, j) /
-//!   (k, i) index order through [`IncrementalObjective::apply_row_moves`].
+//! * **Phase B** commits the whole sweep at once through
+//!   [`IncrementalObjective::apply_sweep`] — positions set, each touched
+//!   net rescanned once, `total` refolded — then relocates the moved
+//!   cells in the mesh in fixed (k, j) / (k, i) row order.
 //!
 //! The x sweep, y sweep, and z pass each see the previous one's commits
 //! (a fresh snapshot per sweep). With the thermal term active there is no
@@ -213,19 +218,20 @@ fn sweep(
         })
     });
 
-    // Phase B: commit chunks in chunk order = rows in sweep order.
+    // Phase B: one bulk commit of the whole sweep. Rows hold disjoint
+    // cells, so the committed state is the same in any order; the mesh
+    // relocates in chunk order = rows in sweep order.
     if let Some(plans) = plans {
-        let mut moved = 0;
-        let mut max_delta = 0.0f64;
-        for plan in plans {
-            max_delta = max_delta.max(plan.max_boundary_delta);
-            moved += plan.moves.len();
-            objective.apply_row_moves(&plan.moves);
-            for m in &plan.moves {
-                mesh.relocate(netlist, m.cell, m.x, m.y, m.layer);
-            }
+        let max_delta = plans
+            .iter()
+            .map(|plan| plan.max_boundary_delta)
+            .fold(0.0, f64::max);
+        let moves: Vec<CellMove> = plans.into_iter().flat_map(|plan| plan.moves).collect();
+        objective.apply_sweep(&moves);
+        for m in &moves {
+            mesh.relocate(netlist, m.cell, m.x, m.y, m.layer);
         }
-        return (moved, max_delta);
+        return (moves.len(), max_delta);
     }
 
     // Serial fallback (thermal term active): the historical row loop,
@@ -456,15 +462,15 @@ fn solve_row_bounds(
 
 /// Maps one cell's coordinate through its bin's solved span and picks the
 /// Eq. 17 β between a full and a half move by whichever candidate `price`
-/// says degrades the objective less. Returns `None` for sub-epsilon
-/// remaps.
+/// says degrades the objective less (`price` returns the two candidates'
+/// deltas, full first). Returns `None` for sub-epsilon remaps.
 #[inline]
 fn remap_cell(
     chip: &Chip,
     axis: Axis,
     (x, y): (f64, f64),
     (old_lo, new_lo, scale): (f64, f64, f64),
-    mut price: impl FnMut(f64, f64) -> f64,
+    price: impl FnOnce([(f64, f64); 2]) -> [f64; 2],
 ) -> Option<(f64, f64)> {
     let coord = match axis {
         Axis::X => x,
@@ -485,8 +491,7 @@ fn remap_cell(
     };
     let full = candidate(mapped);
     let half = candidate(0.5 * mapped + 0.5 * coord);
-    let d_full = price(full.0, full.1);
-    let d_half = price(half.0, half.1);
+    let [d_full, d_half] = price([full, half]);
     Some(if d_half < d_full { half } else { full })
 }
 
@@ -523,10 +528,18 @@ fn plan_row(
         // cell here, unlike the serial fallback.
         for &cell in mesh.bin_cells(scratch.bins[idx]) {
             let (x, y, layer) = frozen.placement().position(cell);
-            let Some((tx, ty)) =
-                remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), |cx, cy| {
-                    frozen.delta_move(cell, cx, cy, layer)
-                })
+            // Both β candidates in one fold of entries built here: this
+            // sweep's commit drops them, so memoizing would be waste.
+            let price = |[full, half]: [(f64, f64); 2]| {
+                let mut deltas = [0.0; 2];
+                frozen.delta_move_batch_unmemoized(
+                    cell,
+                    &[(full.0, full.1, layer), (half.0, half.1, layer)],
+                    &mut deltas,
+                );
+                deltas
+            };
+            let Some((tx, ty)) = remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), price)
             else {
                 continue;
             };
@@ -584,10 +597,13 @@ fn shift_row(
         for ci in scratch.offsets[idx]..scratch.offsets[idx + 1] {
             let cell = scratch.cells[ci];
             let (x, y, layer) = objective.placement().position(cell);
-            let Some((tx, ty)) =
-                remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), |cx, cy| {
-                    objective.delta_move(cell, cx, cy, layer)
-                })
+            let price = |[full, half]: [(f64, f64); 2]| {
+                [
+                    objective.delta_move(cell, full.0, full.1, layer),
+                    objective.delta_move(cell, half.0, half.1, layer),
+                ]
+            };
+            let Some((tx, ty)) = remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), price)
             else {
                 continue;
             };

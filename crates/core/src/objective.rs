@@ -26,7 +26,9 @@
 //! staged in a reusable epoch-stamped `DeltaWorkspace` owned by the
 //! evaluator. Commit (`apply_move`, `apply_moves`, `apply_swap`) prices
 //! through the same code path and then patches the staged values into the
-//! caches, so a probe and its commit return bitwise-identical deltas.
+//! caches, so a probe and its commit return bitwise-identical deltas. A
+//! sweep commit (`apply_sweep`) prices nothing: it rescans the nets its
+//! moves touch and refolds the total, like a partial `rebuild`.
 //!
 //! # Probe memo
 //!
@@ -725,6 +727,69 @@ impl FrozenPricer<'_> {
         delta
     }
 
+    /// Objective change of moving `cell` to each of `targets`, written to
+    /// `out[t]` (`out` is as long as `targets`). The cell's memoized probe
+    /// entries are read once and folded net-major: each target's sum
+    /// starts at `0.0` and adds one term per net in CSR order, with
+    /// [`delta_move`](Self::delta_move)'s per-net arithmetic — the same
+    /// additions in the same order, so `out[t]` equals
+    /// `delta_move(cell, targets[t])` bit for bit.
+    pub fn delta_move_batch(&self, cell: CellId, targets: &[(f64, f64, u16)], out: &mut [f64]) {
+        self.fold_targets(cell, targets, out, |idx| *self.entry(idx, cell));
+    }
+
+    /// [`delta_move_batch`](Self::delta_move_batch) with each entry built
+    /// on the spot instead of read from the memo, which it leaves
+    /// unfilled: for callers whose own commit drops those entries before
+    /// anyone could reuse them (row shifting, DESIGN.md §17).
+    pub(crate) fn delta_move_batch_unmemoized(
+        &self,
+        cell: CellId,
+        targets: &[(f64, f64, u16)],
+        out: &mut [f64],
+    ) {
+        self.fold_targets(cell, targets, out, |idx| {
+            probe_entry_at(
+                self.netlist,
+                self.placement,
+                self.nets,
+                self.cell_nets,
+                idx,
+                cell,
+            )
+        });
+    }
+
+    /// The net-major fold behind the batch pricers: one `entry(idx)` per
+    /// distinct net of `cell`, its term added to every target's sum.
+    #[inline]
+    fn fold_targets(
+        &self,
+        cell: CellId,
+        targets: &[(f64, f64, u16)],
+        out: &mut [f64],
+        entry: impl Fn(usize) -> ProbeEntry,
+    ) {
+        debug_assert_eq!(out.len(), targets.len());
+        out.fill(0.0);
+        if targets.is_empty() {
+            return;
+        }
+        for idx in self.cell_nets.range(cell) {
+            let entry = entry(idx);
+            for (sum, &pos) in out.iter_mut().zip(targets) {
+                *sum += probe_entry_delta(
+                    self.netlist,
+                    self.cell_nets,
+                    idx,
+                    &entry,
+                    pos,
+                    self.alpha_ilv,
+                );
+            }
+        }
+    }
+
     /// Calls `push` with one `(x0, x1, y0, y1)` exclusion rectangle per
     /// own pin of `cell` whose net has at least one pin on another cell —
     /// the inputs of the coarse global pass's optimal-region medians.
@@ -1383,21 +1448,58 @@ impl<'a> IncrementalObjective<'a> {
         sum
     }
 
-    /// Commits one planned row of shift moves. Every entry goes through
-    /// the single-move commit path in order, so the caches, `total`, and
-    /// the returned summed delta are bitwise identical to calling
-    /// [`apply_move`](Self::apply_move) per cell — the contract the
-    /// row-parallel shift engine's serial commit phase relies on. Unlike
-    /// [`apply_moves`](Self::apply_moves) this never stages: a row plan
-    /// touches each cell at most once, so there is no cross-move
-    /// dependence to stage for, and in WL+ILV mode every commit takes
-    /// the in-place fast path.
-    pub fn apply_row_moves(&mut self, moves: &[CellMove]) -> f64 {
-        let mut sum = 0.0;
+    /// Commits a whole sweep of moves at once: sets every position,
+    /// rescans each net the moved cells touch once from the final
+    /// positions (`scan_net_extremes`, the scan `rebuild` runs), drops
+    /// those nets' probe entries, refreshes the thermal caches the moves
+    /// reach, and refolds `total` with `compute_total`. The caches and
+    /// `total` end bitwise equal to a rebuild of the committed placement,
+    /// whatever the order of `moves` (a repeated cell's last move wins).
+    ///
+    /// For callers that price their moves against one snapshot and need
+    /// no per-move deltas: the row-shifting commit (DESIGN.md §17), which
+    /// this spares one update-or-rescan commit per cell.
+    pub fn apply_sweep(&mut self, moves: &[CellMove]) {
+        let netlist = self.netlist;
         for m in moves {
-            sum += self.apply_move(m.cell, m.x, m.y, m.layer);
+            self.placement.set(m.cell, m.x, m.y, m.layer);
         }
-        sum
+        let ws = self.pricing.get_mut();
+        ws.begin();
+        let thermal = self.model.alpha_temp > 0.0;
+        for m in moves {
+            for idx in self.cell_nets.range(m.cell) {
+                let e = self.cell_nets.entries[idx].0;
+                let ei = e.index();
+                if ws.net_stamp[ei] == ws.epoch {
+                    continue;
+                }
+                ws.net_stamp[ei] = ws.epoch;
+                self.nets[ei] = scan_net_extremes(netlist, &self.placement, e, &[]);
+                self.probes.invalidate_net(netlist, &self.cell_nets, e);
+                // A net's geometry enters its driver's power.
+                if let Some(d) = netlist.net_driver_cell(e).filter(|_| thermal) {
+                    if ws.power_stamp[d.index()] != ws.epoch {
+                        ws.power_stamp[d.index()] = ws.epoch;
+                        ws.power_cells.push(d);
+                    }
+                }
+            }
+        }
+        if thermal {
+            let (model, nets) = (self.model, &self.nets);
+            for &d in &ws.power_cells {
+                self.cell_power[d.index()] = model.power.cell_power(netlist, d, |e| {
+                    let g = nets[e.index()].geometry();
+                    (g.wirelength(), g.ilv)
+                });
+            }
+            for m in moves {
+                let pos = self.placement.position(m.cell);
+                self.cell_resistance[m.cell.index()] = resistance_at(model, netlist, m.cell, pos);
+            }
+        }
+        self.total = self.compute_total();
     }
 
     /// Swaps the positions of two cells. Returns the objective change.
@@ -1709,6 +1811,38 @@ mod tests {
         }
         // The random pairs must have covered both swap pricing paths.
         assert!(shared > 0, "no net-sharing swap pair was exercised");
+    }
+
+    #[test]
+    fn unmemoized_batch_prices_like_delta_move_and_fills_no_slot() {
+        let (netlist, chip, config) = fixture(0.0);
+        let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
+        let obj = IncrementalObjective::new(&netlist, &model, random_spread(&netlist, &chip, 13));
+        let frozen = obj.frozen_pricer().unwrap();
+        let mut rng = SmallRng::seed_from_u64(14);
+        let mut probes = Vec::new();
+        for _ in 0..200 {
+            let cell = CellId::new(rng.random_range(0..netlist.num_cells()));
+            let targets = [(); 3].map(|_| {
+                (
+                    rng.random_range(0.0..chip.width),
+                    rng.random_range(0.0..chip.depth),
+                    rng.random_range(0..chip.num_layers as u16),
+                )
+            });
+            let mut sums = [0.0; 3];
+            frozen.delta_move_batch_unmemoized(cell, &targets, &mut sums);
+            probes.push((cell, targets, sums));
+        }
+        assert!(
+            obj.probes.slots.iter().all(|slot| slot.get().is_none()),
+            "planning-only pricing must leave the memo empty"
+        );
+        for (cell, targets, sums) in probes {
+            for ((x, y, l), sum) in targets.into_iter().zip(sums) {
+                assert_eq!(sum.to_bits(), frozen.delta_move(cell, x, y, l).to_bits());
+            }
+        }
     }
 
     #[test]

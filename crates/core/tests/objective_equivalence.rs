@@ -9,26 +9,74 @@
 //! a probe's delta is bitwise equal to the delta its commit applies.
 //! The probe memo never serves a stale entry: after every commit, the
 //! moved cells and their net neighbours price exactly like they do on a
-//! freshly built evaluator of the same placement.
+//! freshly built evaluator of the same placement. The commits include
+//! bulk sweep commits (`apply_sweep`), and the designs include cells
+//! with several pins on one net (the multi-pin pricing path).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use tvp_bookshelf::synth::{generate, SynthConfig};
-use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
+use tvp_core::objective::{CellMove, IncrementalObjective, ObjectiveModel};
 use tvp_core::{Chip, Placement, PlacerConfig};
-use tvp_netlist::{CellId, NetId, Netlist};
+use tvp_netlist::{CellId, NetId, Netlist, NetlistBuilder, PinDirection};
 
-fn random_design(cells: usize, seed: u64) -> Netlist {
-    generate(&SynthConfig::named("eq", cells, cells as f64 * 5.0e-12).with_seed(seed))
-        .expect("synthetic design generates")
+/// A synthetic design, or (`shared`) a random one where about a fifth of
+/// the connections put a second pin of a cell on a net it already
+/// touches, at a different offset.
+fn random_design(cells: usize, seed: u64, shared: bool) -> Netlist {
+    if !shared {
+        return generate(&SynthConfig::named("eq", cells, cells as f64 * 5.0e-12).with_seed(seed))
+            .expect("synthetic design generates");
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut b = NetlistBuilder::new().allow_shared_net_pins();
+    let ids: Vec<CellId> = (0..cells)
+        .map(|i| b.add_cell(format!("c{i}"), 2.0e-6, 1.0e-6))
+        .collect();
+    let offset = |rng: &mut SmallRng| {
+        (
+            rng.random_range(-1.0e-6..1.0e-6),
+            rng.random_range(-5.0e-7..5.0e-7),
+        )
+    };
+    let mut shared_pins = 0;
+    for e in 0..cells {
+        let net = b.add_net(format!("n{e}"));
+        let degree = rng.random_range(2..6);
+        let mut pins: Vec<CellId> = Vec::new();
+        for k in 0..degree {
+            let cell = if k > 0 && rng.random_range(0..5) == 0 {
+                pins[rng.random_range(0..pins.len())]
+            } else {
+                ids[rng.random_range(0..cells)]
+            };
+            let dir = if k == 0 {
+                PinDirection::Output
+            } else {
+                PinDirection::Input
+            };
+            let (dx, dy) = offset(&mut rng);
+            b.connect_with_offset(net, cell, dir, dx, dy)
+                .expect("shared-pin connection");
+            shared_pins += pins.contains(&cell) as usize;
+            pins.push(cell);
+        }
+    }
+    assert!(
+        shared_pins > 0,
+        "the design must exercise the multi-pin path"
+    );
+    b.build().expect("shared-pin design builds")
 }
 
 /// Everything the probe memo answers for one cell and candidate
 /// position, as raw bits: the live `delta_move`, the `frozen_pricer()`
-/// delta (WL+ILV mode only), and the optimal-region exclusion
-/// rectangles.
-type ProbeBits = (u64, Option<u64>, Vec<[u64; 4]>);
+/// delta and its batch fold (WL+ILV mode only), and the optimal-region
+/// exclusion rectangles. The batch fold prices the candidate beside the
+/// cell's own position, and each of its sums must equal the single probe
+/// of the same target bit for bit.
+type ProbeBits = (u64, Option<u64>, Option<u64>, Vec<[u64; 4]>);
 
 fn probe_bits(
     obj: &IncrementalObjective<'_>,
@@ -39,11 +87,27 @@ fn probe_bits(
     let frozen = obj
         .frozen_pricer()
         .map(|f| f.delta_move(cell, x, y, l).to_bits());
+    let batch = obj.frozen_pricer().map(|f| {
+        let here = obj.placement().position(cell);
+        let mut sums = [0.0; 2];
+        f.delta_move_batch(cell, &[(x, y, l), here], &mut sums);
+        assert_eq!(
+            sums[1].to_bits(),
+            f.delta_move(cell, here.0, here.1, here.2).to_bits(),
+            "batch fold of cell {} at its own position",
+            cell.index()
+        );
+        sums[0].to_bits()
+    });
+    if batch.is_some() {
+        assert_eq!(frozen, Some(live), "frozen probe == live probe");
+        assert_eq!(batch, Some(live), "batch fold == delta_move");
+    }
     let mut rects = Vec::new();
     obj.exclusion_rects(cell, |x0, x1, y0, y1| {
         rects.push([x0.to_bits(), x1.to_bits(), y0.to_bits(), y1.to_bits()]);
     });
-    (live, frozen, rects)
+    (live, frozen, batch, rects)
 }
 
 /// The optimal-region rectangles of `cell` by direct scan, as sorted
@@ -98,21 +162,24 @@ fn watch_list(
     cells.push(CellId::new(rng.random_range(0..netlist.num_cells())));
     cells
         .into_iter()
-        .map(|c| {
-            let target = (
-                rng.random_range(0.0..chip.width),
-                rng.random_range(0.0..chip.depth),
-                rng.random_range(0..chip.num_layers as u16),
-            );
-            (c, target)
-        })
+        .map(|c| (c, random_target(chip, rng)))
         .collect()
 }
 
-/// Drives `ops` random moves/swaps (roughly 1 swap per 3 ops). Around
-/// every commit it probes the watch list — before, so the memo holds
-/// entries the commit must drop, and after, asserting bitwise equality
-/// with a freshly built evaluator of the committed placement.
+/// A random position on the chip.
+fn random_target(chip: &Chip, rng: &mut SmallRng) -> (f64, f64, u16) {
+    (
+        rng.random_range(0.0..chip.width),
+        rng.random_range(0.0..chip.depth),
+        rng.random_range(0..chip.num_layers as u16),
+    )
+}
+
+/// Drives `ops` random commits: per four ops, one swap, one bulk sweep
+/// of 2–6 distinct cells, and two moves. Around every commit it probes
+/// the watch list — before, so the memo holds entries the commit must
+/// drop, and after, asserting bitwise equality with a freshly built
+/// evaluator of the committed placement (for a sweep, of `total` too).
 fn drive(
     obj: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
@@ -125,7 +192,32 @@ fn drive(
     for i in 0..ops {
         let c = CellId::new(rng.random_range(0..netlist.num_cells()));
         let watch;
-        if i % 3 == 0 {
+        let sweep = i % 4 == 1;
+        if sweep {
+            let mut cells = vec![c];
+            let size = rng.random_range(2..7).min(netlist.num_cells());
+            while cells.len() < size {
+                let next = CellId::new(rng.random_range(0..netlist.num_cells()));
+                if !cells.contains(&next) {
+                    cells.push(next);
+                }
+            }
+            let moves: Vec<CellMove> = cells
+                .iter()
+                .map(|&cell| {
+                    let (x, y, layer) = random_target(chip, &mut rng);
+                    CellMove { cell, x, y, layer }
+                })
+                .collect();
+            watch = watch_list(netlist, chip, &cells, &mut probe_rng);
+            for &(w, target) in &watch {
+                probe_bits(obj, w, target);
+            }
+            obj.apply_sweep(&moves);
+            for m in &moves {
+                assert_eq!(obj.placement().position(m.cell), (m.x, m.y, m.layer));
+            }
+        } else if i % 4 == 0 {
             let mut b = CellId::new(rng.random_range(0..netlist.num_cells()));
             if b == c {
                 b = CellId::new((b.index() + 1) % netlist.num_cells());
@@ -138,9 +230,7 @@ fn drive(
             let applied = obj.apply_swap(c, b);
             assert_eq!(probe, applied, "swap probe == commit");
         } else {
-            let x = rng.random_range(0.0..chip.width);
-            let y = rng.random_range(0.0..chip.depth);
-            let l = rng.random_range(0..chip.num_layers as u16);
+            let (x, y, l) = random_target(chip, &mut rng);
             watch = watch_list(netlist, chip, &[c], &mut probe_rng);
             for &(w, target) in &watch {
                 probe_bits(obj, w, target);
@@ -150,6 +240,13 @@ fn drive(
             assert_eq!(probe, applied, "move probe == commit");
         }
         let fresh = IncrementalObjective::new(netlist, obj.model(), obj.placement().clone());
+        if sweep {
+            assert_eq!(
+                obj.total().to_bits(),
+                fresh.total().to_bits(),
+                "a sweep commit refolds total like a rebuild (op {i})"
+            );
+        }
         for &(w, target) in &watch {
             let live = probe_bits(obj, w, target);
             assert_eq!(
@@ -158,7 +255,7 @@ fn drive(
                 "stale probe of cell {} after op {i}",
                 w.index()
             );
-            let mut rects = live.2;
+            let mut rects = live.3;
             rects.sort_unstable();
             assert_eq!(
                 rects,
@@ -170,109 +267,119 @@ fn drive(
     }
 }
 
+/// Drives a centered placement of `netlist` at threads 1, 2 and 4 and
+/// checks the incremental caches against a from-scratch rebuild of the
+/// final placement, bit for bit.
+fn assert_caches_match_rebuild(netlist: &Netlist, seed: u64, thermal: bool) {
+    let alpha_temp = if thermal { 1.0e-4 } else { 0.0 };
+    let config = PlacerConfig::new(4)
+        .with_alpha_ilv(1.0e-5)
+        .with_alpha_temp(alpha_temp);
+    let chip = Chip::from_netlist(netlist, &config).expect("chip fits");
+    let model = ObjectiveModel::new(netlist, &chip, &config).expect("model builds");
+
+    for threads in [1usize, 2, 4] {
+        tvp_parallel::with_threads(threads, || {
+            let mut obj = IncrementalObjective::new(
+                netlist,
+                &model,
+                Placement::centered(netlist.num_cells(), &chip),
+            );
+            drive(&mut obj, netlist, &chip, seed ^ 0xA5A5, 300);
+
+            // Rebuild a twin from the *final* placement and compare.
+            let mut fresh = IncrementalObjective::new(netlist, &model, obj.placement().clone());
+            fresh.rebuild();
+            for e in 0..netlist.num_nets() {
+                let net = NetId::new(e);
+                assert_eq!(
+                    obj.net_geometry(net),
+                    fresh.net_geometry(net),
+                    "net {e} geometry diverged at threads={threads}"
+                );
+            }
+            if alpha_temp > 0.0 {
+                for i in 0..netlist.num_cells() {
+                    let c = CellId::new(i);
+                    assert_eq!(
+                        obj.cell_power(c),
+                        fresh.cell_power(c),
+                        "cell {i} power diverged at threads={threads}"
+                    );
+                    assert_eq!(
+                        obj.cell_resistance(c),
+                        fresh.cell_resistance(c),
+                        "cell {i} resistance diverged at threads={threads}"
+                    );
+                }
+            }
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// After randomized move/swap sequences the incremental caches are
+    /// After randomized commit sequences the incremental caches are
     /// bitwise equal to a from-scratch rebuild of the same placement —
-    /// at thread counts 1, 2, and 4.
+    /// at thread counts 1, 2, and 4, on a synthetic and a shared-pin
+    /// design.
     #[test]
     fn caches_match_rebuild_bitwise(
         cells in 60usize..160,
         seed in 0u64..1000,
         thermal in any::<bool>(),
     ) {
-        let netlist = random_design(cells, seed);
-        let alpha_temp = if thermal { 1.0e-4 } else { 0.0 };
-        let config = PlacerConfig::new(4)
-            .with_alpha_ilv(1.0e-5)
-            .with_alpha_temp(alpha_temp);
-        let chip = Chip::from_netlist(&netlist, &config).expect("chip fits");
-        let model = ObjectiveModel::new(&netlist, &chip, &config).expect("model builds");
-
-        for threads in [1usize, 2, 4] {
-            tvp_parallel::with_threads(threads, || {
-                let mut obj = IncrementalObjective::new(
-                    &netlist,
-                    &model,
-                    Placement::centered(netlist.num_cells(), &chip),
-                );
-                drive(&mut obj, &netlist, &chip, seed ^ 0xA5A5, 300);
-
-                // Rebuild a twin from the *final* placement and compare.
-                let mut fresh = IncrementalObjective::new(
-                    &netlist,
-                    &model,
-                    obj.placement().clone(),
-                );
-                fresh.rebuild();
-                for e in 0..netlist.num_nets() {
-                    let net = NetId::new(e);
-                    assert_eq!(
-                        obj.net_geometry(net),
-                        fresh.net_geometry(net),
-                        "net {e} geometry diverged at threads={threads}"
-                    );
-                }
-                if alpha_temp > 0.0 {
-                    for i in 0..netlist.num_cells() {
-                        let c = CellId::new(i);
-                        assert_eq!(
-                            obj.cell_power(c),
-                            fresh.cell_power(c),
-                            "cell {i} power diverged at threads={threads}"
-                        );
-                        assert_eq!(
-                            obj.cell_resistance(c),
-                            fresh.cell_resistance(c),
-                            "cell {i} resistance diverged at threads={threads}"
-                        );
-                    }
-                }
-            });
+        for shared in [false, true] {
+            assert_caches_match_rebuild(&random_design(cells, seed, shared), seed, thermal);
         }
     }
 
-    /// The same op sequence leaves bitwise-identical caches and placement
-    /// at every thread count (the caches never depend on the chunking).
+    /// The same op sequence leaves bitwise-identical caches, total and
+    /// placement at every thread count (nothing depends on the
+    /// chunking), on a synthetic and a shared-pin design.
     #[test]
     fn op_sequences_are_thread_count_invariant(
         cells in 60usize..160,
         seed in 0u64..1000,
     ) {
-        let netlist = random_design(cells, seed);
-        let config = PlacerConfig::new(4)
-            .with_alpha_ilv(1.0e-5)
-            .with_alpha_temp(1.0e-4);
-        let chip = Chip::from_netlist(&netlist, &config).expect("chip fits");
-        let model = ObjectiveModel::new(&netlist, &chip, &config).expect("model builds");
+        for shared in [false, true] {
+            let netlist = random_design(cells, seed, shared);
+            let config = PlacerConfig::new(4)
+                .with_alpha_ilv(1.0e-5)
+                .with_alpha_temp(1.0e-4);
+            let chip = Chip::from_netlist(&netlist, &config).expect("chip fits");
+            let model = ObjectiveModel::new(&netlist, &chip, &config).expect("model builds");
 
-        let run = |threads: usize| {
-            tvp_parallel::with_threads(threads, || {
-                let mut obj = IncrementalObjective::new(
-                    &netlist,
-                    &model,
-                    Placement::centered(netlist.num_cells(), &chip),
-                );
-                drive(&mut obj, &netlist, &chip, seed ^ 0xC3C3, 300);
-                let geometry: Vec<_> = (0..netlist.num_nets())
-                    .map(|e| obj.net_geometry(NetId::new(e)))
-                    .collect();
-                let power: Vec<_> = (0..netlist.num_cells())
-                    .map(|i| obj.cell_power(CellId::new(i)))
-                    .collect();
-                (obj.into_placement(), geometry, power)
-            })
-        };
-        let (p1, g1, w1) = run(1);
-        for threads in [2usize, 4] {
-            let (p, g, w) = run(threads);
-            for i in 0..netlist.num_cells() {
-                let c = CellId::new(i);
-                prop_assert_eq!(p1.position(c), p.position(c));
+            let run = |threads: usize| {
+                tvp_parallel::with_threads(threads, || {
+                    let mut obj = IncrementalObjective::new(
+                        &netlist,
+                        &model,
+                        Placement::centered(netlist.num_cells(), &chip),
+                    );
+                    drive(&mut obj, &netlist, &chip, seed ^ 0xC3C3, 300);
+                    let geometry: Vec<_> = (0..netlist.num_nets())
+                        .map(|e| obj.net_geometry(NetId::new(e)))
+                        .collect();
+                    let power: Vec<_> = (0..netlist.num_cells())
+                        .map(|i| obj.cell_power(CellId::new(i)))
+                        .collect();
+                    let total = obj.total().to_bits();
+                    (obj.into_placement(), geometry, power, total)
+                })
+            };
+            let (p1, g1, w1, t1) = run(1);
+            for threads in [2usize, 4] {
+                let (p, g, w, t) = run(threads);
+                for i in 0..netlist.num_cells() {
+                    let c = CellId::new(i);
+                    prop_assert_eq!(p1.position(c), p.position(c));
+                }
+                prop_assert_eq!(&g1, &g);
+                prop_assert_eq!(&w1, &w);
+                prop_assert_eq!(t1, t);
             }
-            prop_assert_eq!(&g1, &g);
-            prop_assert_eq!(&w1, &w);
         }
     }
 
@@ -283,7 +390,7 @@ proptest! {
         cells in 60usize..160,
         seed in 0u64..1000,
     ) {
-        let netlist = random_design(cells, seed);
+        let netlist = random_design(cells, seed, false);
         let config = PlacerConfig::new(4)
             .with_alpha_ilv(1.0e-5)
             .with_alpha_temp(1.0e-4);

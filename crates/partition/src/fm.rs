@@ -7,7 +7,7 @@
 //! so a multilevel V-cycle allocates them once, not once per level per
 //! pass.
 //!
-//! Three properties make the pass fast:
+//! Four properties make the pass fast:
 //!
 //! * **Fused parallel initialization.** The per-net side counters and the
 //!   per-vertex starting gains are elementwise maps, computed in chunked
@@ -23,6 +23,11 @@
 //!   entry, so an entry is current exactly when its key equals the gain
 //!   array's value — popping validates with one comparison instead of a
 //!   full gain recomputation.
+//! * **Integer heap keys.** A heap entry is one `u128` that orders like
+//!   `(gain, vertex)`: the gain's order-preserving bit image above the
+//!   vertex id. Every sift compares integers instead of running a float
+//!   `partial_cmp` and a tie-break, and the pop order is the float
+//!   order's for every non-NaN gain, so partitions are bitwise unchanged.
 //!
 //! Each pass tentatively moves every free vertex once (best-gain first,
 //! balance permitting) and rolls back to the best prefix. A cooperative
@@ -32,7 +37,6 @@
 
 use crate::multilevel::FixedSide;
 use crate::{BisectConfig, Hypergraph, StopFn};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tvp_parallel as parallel;
 
@@ -48,27 +52,36 @@ const INIT_SERIAL_BELOW: usize = 1 << 15;
 /// The stop callback is polled every `STOP_POLL_MASK + 1` heap pops.
 const STOP_POLL_MASK: u64 = 0x3FF;
 
-/// Heap entry ordered by gain (then vertex for determinism).
-#[derive(PartialEq, Debug)]
-pub(crate) struct Candidate {
-    gain: f64,
-    vertex: u32,
-}
+/// Heap entry: one integer key that orders exactly like `(gain, vertex)`
+/// — the gain's order-preserving bit image in the high 64 bits, the
+/// vertex in the low 32 — so every sift compares integers. −0.0 is keyed
+/// as +0.0, the two being equal gains; NaN never occurs (gains are sums
+/// of finite net weights).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct Candidate(u128);
 
-impl Eq for Candidate {}
+const SIGN: u64 = 1 << 63;
 
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gain
-            .partial_cmp(&other.gain)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.vertex.cmp(&other.vertex))
+impl Candidate {
+    #[inline]
+    fn new(gain: f64, vertex: u32) -> Self {
+        let bits = if gain == 0.0 { 0 } else { gain.to_bits() };
+        // Non-negative floats order like their bits; set the sign bit so
+        // they sort above every negative. Negative floats order inversely
+        // to their bits; flipping them all puts them below, in order.
+        let key = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+        Self((key as u128) << 32 | vertex as u128)
     }
-}
 
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    #[inline]
+    fn gain(self) -> f64 {
+        let key = (self.0 >> 32) as u64;
+        f64::from_bits(if key & SIGN != 0 { key & !SIGN } else { !key })
+    }
+
+    #[inline]
+    fn vertex(self) -> u32 {
+        self.0 as u32
     }
 }
 
@@ -230,10 +243,7 @@ fn fm_pass(
     ws.heap_buf.clear();
     for v in 0..n as u32 {
         if fixed[v as usize] == FixedSide::Free {
-            ws.heap_buf.push(Candidate {
-                gain: ws.gain[v as usize],
-                vertex: v,
-            });
+            ws.heap_buf.push(Candidate::new(ws.gain[v as usize], v));
         } else {
             lock(&mut ws.locked, v);
         }
@@ -262,7 +272,8 @@ fn fm_pass(
         }};
     }
 
-    while let Some(Candidate { gain, vertex }) = heap.pop() {
+    while let Some(top) = heap.pop() {
+        let (gain, vertex) = (top.gain(), top.vertex());
         pops += 1;
         if pops & STOP_POLL_MASK == 0 && stop.is_some_and(|s| s()) {
             // Cancelled: fall through to the best-prefix rollback below so
@@ -332,10 +343,7 @@ fn fm_pass(
         }
         sides[vi] = t as u8;
         for &u in &ws.touched {
-            heap.push(Candidate {
-                gain: ws.gain[u as usize],
-                vertex: u,
-            });
+            heap.push(Candidate::new(ws.gain[u as usize], u));
         }
         ws.moves.push(vertex);
         cum_gain += gain;
@@ -381,6 +389,67 @@ mod tests {
         hg.add_net(&[0, 4], 1.0);
         hg.finalize();
         hg
+    }
+
+    /// The float comparator the integer key replaced: gain by
+    /// `partial_cmp`, then vertex.
+    fn float_order(a: (f64, u32), b: (f64, u32)) -> std::cmp::Ordering {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.1.cmp(&b.1))
+    }
+
+    #[test]
+    fn heap_key_orders_like_the_float_comparator() {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xF1D0);
+        // Ties, both zeros, integer-valued and tiny gains of both signs,
+        // and the extremes of the finite range.
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.0,
+            -2.0,
+            3.0,
+            0.5,
+            -0.5,
+            1e-300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut pairs: Vec<(f64, u32)> = Vec::new();
+        for &g in &special {
+            for v in [0u32, 1, 7, u32::MAX] {
+                pairs.push((g, v));
+            }
+        }
+        for _ in 0..400 {
+            let g = match rng.random_range(0..4) {
+                0 => rng.random_range(-8i32..8) as f64,
+                1 => rng.random_range(-1.0e-12..1.0e-12),
+                2 => rng.random_range(-1.0e6..1.0e6),
+                _ => special[rng.random_range(0..special.len())],
+            };
+            pairs.push((g, rng.random_range(0..16)));
+        }
+        for &a in &pairs {
+            let ka = Candidate::new(a.0, a.1);
+            let canonical = if a.0 == 0.0 { 0.0 } else { a.0 };
+            assert_eq!(ka.gain().to_bits(), canonical.to_bits(), "decode {a:?}");
+            assert_eq!(ka.vertex(), a.1);
+            for &b in &pairs {
+                let kb = Candidate::new(b.0, b.1);
+                assert_eq!(ka.cmp(&kb), float_order(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
