@@ -768,7 +768,7 @@ fn main() {
     // of `BATCH_TARGETS`, each block priced for its first probe's cell in
     // one fold of that cell's probe entries, beside the scalar
     // `delta_move` loop over the same (cell, target) pairs.
-    let frozen = &pricing_obj.frozen_pricer().expect("WL+ILV model");
+    let frozen = &pricing_obj.frozen_pricer();
     let targets: Vec<(f64, f64, u16)> = probes.iter().map(|&(_, x, y, l)| (x, y, l)).collect();
     let blocks = || {
         probes
@@ -836,6 +836,23 @@ fn main() {
             .sum()
     });
 
+    // Thermal pricing: the same probes under the α_TEMP = 1e-4 model,
+    // where the probe fold adds Eq. 3's thermal term, beside the rescan
+    // kernel over the same probes. Timed after every WL+ILV row, so those
+    // run in the same conditions as before this row existed.
+    let thermal_obj = IncrementalObjective::new(&netlist, &model, scattered);
+    let thermal_ns = time_ns_per_op(opts.repeats, probes.len(), || {
+        probes
+            .iter()
+            .map(|&(c, x, y, l)| thermal_obj.delta_move(c, x, y, l))
+            .sum()
+    });
+    let thermal_rescan_ns = time_ns_per_op(opts.repeats, probes.len(), || {
+        probes
+            .iter()
+            .map(|&(c, x, y, l)| thermal_obj.delta_move_rescan(c, x, y, l))
+            .sum()
+    });
     // A pricing row beside its rescan denominator and the speedup over it.
     let pricing = |ns_per_op: f64, rescan_ns_per_op: f64| {
         obj(vec![
@@ -988,7 +1005,8 @@ fn main() {
          batch_move_pricing is ns per target of FrozenPricer::delta_move_batch over \
          move_pricing's probes in blocks of targets_per_cell (each block priced for its \
          first probe's cell), its denominator the scalar delta_move loop over the same \
-         (cell, target) pairs";
+         (cell, target) pairs; thermal_move_pricing times delta_move on move_pricing's \
+         probes under an alpha_TEMP = 1e-4 model, beside delta_move_rescan on the same probes";
     let parallel_note = format!(
         "per-stage wall times from the placer's stage clocks, best-of-{}; speedup_* \
          divides this sweep's threads=1 wall by the row's wall; rows with threads > \
@@ -1101,6 +1119,10 @@ fn main() {
                         ("scalar_ns_per_op", Value::Num(batch_scalar_ns)),
                         ("speedup", Value::Num(batch_scalar_ns / batch_ns)),
                     ]),
+                ),
+                (
+                    "thermal_move_pricing",
+                    pricing(thermal_ns, thermal_rescan_ns),
                 ),
                 ("commit", obj(vec![("ns_per_op", Value::Num(commit_ns))])),
                 ("high_fanout_move_pricing", pricing(hf_ns, hf_rescan_ns)),

@@ -246,8 +246,9 @@ fn quarantine(paths: &[&Path]) -> Vec<String> {
 /// Returns [`CheckpointLoad::Fresh`] when the directory has no manifest,
 /// and [`CheckpointLoad::Quarantined`] when the checkpoint content is
 /// damaged — truncated or malformed manifest, placement-hash mismatch,
-/// unreadable or inconsistent `.pl` — in which case the damaged files
-/// have been renamed to `*.corrupt` and the caller should start fresh.
+/// unreadable or inconsistent `.pl`, a non-finite coordinate — in which
+/// case the damaged files have been renamed to `*.corrupt` and the
+/// caller should start fresh.
 ///
 /// # Errors
 ///
@@ -354,6 +355,15 @@ pub fn load_latest(
         let Some(&id) = by_name.get(r.name.as_str()) else {
             return damaged(format!("{}: unknown cell `{}`", pl_path.display(), r.name));
         };
+        if !r.x.is_finite() || !r.y.is_finite() {
+            return damaged(format!(
+                "{}: cell `{}` has a non-finite position ({}, {})",
+                pl_path.display(),
+                r.name,
+                r.x,
+                r.y
+            ));
+        }
         let layer = r.layer.unwrap_or(0) as u16;
         placement.set(id, r.x, r.y, layer);
         seen[id.index()] = true;
@@ -869,6 +879,49 @@ mod tests {
         std::fs::write(&manifest_path, stripped).unwrap();
         let resume = expect_resume(load_latest(&dir, &netlist, fp, 3, &chip).unwrap());
         assert_eq!(resume.placement, placement);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_finite_position_is_quarantined() {
+        // Without a placement hash nothing else catches a NaN coordinate:
+        // `NaN` parses as a float, and every legality comparison with it
+        // is false.
+        let (netlist, chip, config, placement) = fixture();
+        let dir = tmpdir("nan_pl");
+        let fp = fingerprint(&netlist, &config);
+        let pl = write_checkpoint(&dir, 0, "global", 3, false, &netlist, &placement, fp).unwrap();
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let stripped: String = std::fs::read_to_string(&manifest_path)
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("placement_hash"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(&manifest_path, stripped).unwrap();
+        let name = netlist.cell(CellId::new(3)).name().to_string();
+        let poisoned: String = std::fs::read_to_string(&pl)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                let mut tokens: Vec<&str> = l.split_whitespace().collect();
+                if tokens.first() == Some(&name.as_str()) {
+                    tokens[1] = "NaN";
+                }
+                format!("{}\n", tokens.join(" "))
+            })
+            .collect();
+        assert!(poisoned.contains("NaN"), "the cell's line was rewritten");
+        std::fs::write(&pl, poisoned).unwrap();
+
+        let (quarantined, reason) =
+            expect_quarantine(load_latest(&dir, &netlist, fp, 3, &chip).unwrap());
+        assert!(reason.contains("non-finite"), "{reason}");
+        assert_eq!(quarantined.len(), 2, "manifest and pl: {quarantined:?}");
+        assert_eq!(
+            load_latest(&dir, &netlist, fp, 3, &chip).unwrap(),
+            CheckpointLoad::Fresh
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -25,7 +25,10 @@
 //! still-improving actions. Proposals depend only on the snapshot and
 //! the chunking is a pure function of the batch length, so results are
 //! bitwise identical at every thread count. With the thermal term
-//! (`alpha_temp > 0`) the passes run the exact serial loop.
+//! (`alpha_temp > 0`) the passes run the serial loop, which prices every
+//! candidate against the live objective through the same probe fold:
+//! batched thermal moves commit fewer improving actions per pass and
+//! measured worse placements (DESIGN.md §16).
 //!
 //! Every probe reads the objective's shared probe memo, so a hot-bin
 //! partner's entries build once and serve every batch until a commit
@@ -71,7 +74,7 @@ pub fn local_pass(
 ) -> usize {
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
-    if objective.frozen_pricer().is_some() {
+    if objective.model().alpha_temp == 0.0 {
         return batched_pass(objective, mesh, netlist, chip, &order, PassMode::Local);
     }
     let mut improved = 0;
@@ -123,7 +126,7 @@ pub fn global_pass(
 ) -> usize {
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
-    if objective.frozen_pricer().is_some() {
+    if objective.model().alpha_temp == 0.0 {
         return batched_pass(
             objective,
             mesh,
@@ -137,8 +140,9 @@ pub fn global_pass(
     let mut opt = OptScratch::default();
     let mut candidates = Vec::new();
     for cell in order {
-        let Some((ox, oy)) = optimal_point(&mut opt, |push| objective.exclusion_rects(cell, push))
-        else {
+        let Some((ox, oy)) = optimal_point(&mut opt, |push| {
+            objective.frozen_pricer().exclusion_rects(cell, push)
+        }) else {
             continue;
         };
         let (ox, oy) = chip.clamp(ox, oy);
@@ -266,8 +270,8 @@ enum ProposedAction {
     },
 }
 
-/// The batched propose/commit engine (see the module docs). Requires
-/// WL+ILV mode (`objective.frozen_pricer()` must be `Some`).
+/// The batched propose/commit engine (see the module docs); the passes
+/// route WL+ILV mode here.
 fn batched_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -283,12 +287,7 @@ fn batched_pass(
         // Phase A: parallel snapshot pricing. The snapshot, the mesh, and
         // the chunk boundaries are all independent of the thread count, so
         // the proposal list is too.
-        let Some(frozen) = objective.frozen_pricer() else {
-            // Unreachable: callers route here only when the pricer exists,
-            // and committing moves never disarms it. Degrading to "no more
-            // improvements" keeps the pass total-correct regardless.
-            return improved;
-        };
+        let frozen = objective.frozen_pricer();
         let mesh_ref: &DensityMesh = mesh;
         let partners_ref: &PartnerIndex = &partners;
         let proposals: Vec<Vec<Proposal>> =
@@ -476,9 +475,8 @@ struct OptScratch {
 
 /// The lateral objective-minimum point for a cell: the center of its
 /// optimal region (median interval of its nets' bounding boxes with the
-/// cell excluded). `exclusion_rects` feeds those boxes — from
-/// [`IncrementalObjective::exclusion_rects`] or
-/// [`FrozenPricer::exclusion_rects`], which read the same probe memo.
+/// cell excluded). `exclusion_rects` feeds those boxes from
+/// [`FrozenPricer::exclusion_rects`], which reads the probe memo.
 /// `None` for unconnected cells.
 fn optimal_point(
     s: &mut OptScratch,
@@ -683,7 +681,7 @@ mod tests {
             .unwrap();
         let mut scratch = OptScratch::default();
         let (ox, oy) = optimal_point(&mut scratch, |push| {
-            objective.exclusion_rects(connected, push)
+            objective.frozen_pricer().exclusion_rects(connected, push)
         })
         .unwrap();
         assert!(ox >= 0.0 && ox <= chip.width);
@@ -708,7 +706,9 @@ mod tests {
         let objective = IncrementalObjective::new(&netlist, &model, Placement::centered(2, &chip));
         let mut scratch = OptScratch::default();
         assert!(optimal_point(&mut scratch, |push| {
-            objective.exclusion_rects(CellId::new(0), push)
+            objective
+                .frozen_pricer()
+                .exclusion_rects(CellId::new(0), push)
         })
         .is_none());
     }

@@ -32,16 +32,17 @@
 //!   cells in the mesh in fixed (k, j) / (k, i) row order.
 //!
 //! The x sweep, y sweep, and z pass each see the previous one's commits
-//! (a fresh snapshot per sweep). With the thermal term active there is no
-//! frozen pricer, and the sweeps fall back to the exact historical serial
-//! row loop.
+//! (a fresh snapshot per sweep). Both objective modes run this one
+//! engine: with the thermal term active the frozen pricer folds Eq. 3's
+//! α_TEMP term too, and the sweep commit refreshes the power and
+//! resistance caches the moves reach.
 
 use super::mesh::DensityMesh;
 use crate::engine::StageRun;
 use crate::objective::{CellMove, FrozenPricer, IncrementalObjective};
 use crate::observer::PassEvent;
 use crate::{Chip, ShiftStrategy};
-use tvp_netlist::Netlist;
+use tvp_netlist::{CellId, Netlist};
 use tvp_parallel as parallel;
 
 /// Chunking floor for phase-A row planning: one row costs a boundary
@@ -75,19 +76,14 @@ const STALL_REL_IMPROVEMENT: f64 = 1.0e-3;
 const STALL_PATIENCE: usize = 2;
 
 /// Reusable per-row buffers for row planning: the row's bin ids, their
-/// densities, the solved boundaries, and a flattened snapshot of the
-/// row's cells (`offsets[i]..offsets[i+1]` indexes bin `i`'s slice of
-/// `cells`; used by the serial fallback, which relocates mid-row). One
-/// scratch serves every row a worker plans, so a spread at 100k cells
-/// reuses a few buffers per chunk instead of churning millions of
-/// short-lived `Vec`s.
+/// densities, and the solved boundaries. One scratch serves every row a
+/// worker plans, so a spread at 100k cells reuses a few buffers per
+/// chunk instead of churning millions of short-lived `Vec`s.
 #[derive(Default)]
 struct RowScratch {
     bins: Vec<usize>,
     densities: Vec<f64>,
     bounds: Vec<f64>,
-    cells: Vec<tvp_netlist::CellId>,
-    offsets: Vec<usize>,
 }
 
 /// What one shifting pass did — the signal the convergence detector and
@@ -160,9 +156,7 @@ pub fn shift_pass_stats(
 }
 
 /// One directional sweep (all x rows or all y rows): row-parallel
-/// plan/commit when a frozen pricer exists (WL+ILV mode), the historical
-/// serial row loop otherwise. Returns `(cells moved, max relative
-/// boundary delta)`.
+/// plan/commit. Returns `(cells moved, max relative boundary delta)`.
 fn sweep(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -174,8 +168,8 @@ fn sweep(
 ) -> (usize, f64) {
     let (nx, ny, nz) = mesh.dims();
     // Row r of the sweep is (k = r / rows_per_layer, j or i = r %
-    // rows_per_layer) — the same (k, j) / (k, i) nesting the serial loop
-    // iterates, so phase B's commit order matches it exactly.
+    // rows_per_layer): phase B commits and relocates in this (k, j) /
+    // (k, i) order.
     let (rows_per_layer, row_len) = match axis {
         Axis::X => (ny, nx),
         Axis::Y => (nx, ny),
@@ -188,81 +182,48 @@ fn sweep(
     // commits — the frozen plan is remap-exact, and only the Eq. 17
     // pricing sees a (deliberately) frozen objective.
     let mesh_ref: &DensityMesh = mesh;
-    let plans: Option<Vec<ChunkPlan>> = objective.frozen_pricer().map(|frozen| {
-        parallel::map_chunks(num_rows, PLAN_MIN_ROWS, |range| {
-            let mut scratch = RowScratch::default();
-            let mut plan = ChunkPlan::default();
-            for r in range {
-                let k = r / rows_per_layer;
-                let fixed = r % rows_per_layer;
-                scratch.bins.clear();
-                match axis {
-                    Axis::X => scratch.bins.extend(mesh_ref.x_row_range(fixed, k)),
-                    Axis::Y => scratch
-                        .bins
-                        .extend((0..row_len).map(|j| mesh_ref.index(fixed, j, k))),
-                }
-                let delta = plan_row(
-                    &frozen,
-                    mesh_ref,
-                    chip,
-                    &mut scratch,
-                    axis,
-                    target_density,
-                    strategy,
-                    &mut plan.moves,
-                );
-                plan.max_boundary_delta = plan.max_boundary_delta.max(delta);
+    let frozen = objective.frozen_pricer();
+    let plans: Vec<ChunkPlan> = parallel::map_chunks(num_rows, PLAN_MIN_ROWS, |range| {
+        let mut scratch = RowScratch::default();
+        let mut plan = ChunkPlan::default();
+        for r in range {
+            let k = r / rows_per_layer;
+            let fixed = r % rows_per_layer;
+            scratch.bins.clear();
+            match axis {
+                Axis::X => scratch.bins.extend(mesh_ref.x_row_range(fixed, k)),
+                Axis::Y => scratch
+                    .bins
+                    .extend((0..row_len).map(|j| mesh_ref.index(fixed, j, k))),
             }
-            plan
-        })
+            let delta = plan_row(
+                &frozen,
+                mesh_ref,
+                chip,
+                &mut scratch,
+                axis,
+                target_density,
+                strategy,
+                &mut plan.moves,
+            );
+            plan.max_boundary_delta = plan.max_boundary_delta.max(delta);
+        }
+        plan
     });
 
     // Phase B: one bulk commit of the whole sweep. Rows hold disjoint
     // cells, so the committed state is the same in any order; the mesh
     // relocates in chunk order = rows in sweep order.
-    if let Some(plans) = plans {
-        let max_delta = plans
-            .iter()
-            .map(|plan| plan.max_boundary_delta)
-            .fold(0.0, f64::max);
-        let moves: Vec<CellMove> = plans.into_iter().flat_map(|plan| plan.moves).collect();
-        objective.apply_sweep(&moves);
-        for m in &moves {
-            mesh.relocate(netlist, m.cell, m.x, m.y, m.layer);
-        }
-        return (moves.len(), max_delta);
+    let max_delta = plans
+        .iter()
+        .map(|plan| plan.max_boundary_delta)
+        .fold(0.0, f64::max);
+    let moves: Vec<CellMove> = plans.into_iter().flat_map(|plan| plan.moves).collect();
+    objective.apply_sweep(&moves);
+    for m in &moves {
+        mesh.relocate(netlist, m.cell, m.x, m.y, m.layer);
     }
-
-    // Serial fallback (thermal term active): the historical row loop,
-    // pricing every candidate against the live objective.
-    let mut moved = 0;
-    let mut max_delta = 0.0f64;
-    let mut scratch = RowScratch::default();
-    for r in 0..num_rows {
-        let k = r / rows_per_layer;
-        let fixed = r % rows_per_layer;
-        scratch.bins.clear();
-        match axis {
-            Axis::X => scratch.bins.extend(mesh.x_row_range(fixed, k)),
-            Axis::Y => scratch
-                .bins
-                .extend((0..row_len).map(|j| mesh.index(fixed, j, k))),
-        }
-        let (row_moved, row_delta) = shift_row(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            &mut scratch,
-            axis,
-            target_density,
-            strategy,
-        );
-        moved += row_moved;
-        max_delta = max_delta.max(row_delta);
-    }
-    (moved, max_delta)
+    (moves.len(), max_delta)
 }
 
 /// One chunk's phase-A output: the planned moves of its rows, in row
@@ -461,17 +422,19 @@ fn solve_row_bounds(
 }
 
 /// Maps one cell's coordinate through its bin's solved span and picks the
-/// Eq. 17 β between a full and a half move by whichever candidate `price`
-/// says degrades the objective less (`price` returns the two candidates'
-/// deltas, full first). Returns `None` for sub-epsilon remaps.
+/// Eq. 17 β between a full and a half move, whichever the frozen pricer
+/// says degrades the objective less. Both candidates price in one fold of
+/// probe entries built on the spot: this sweep's commit drops them, so
+/// memoizing would be waste. Returns `None` for sub-epsilon remaps.
 #[inline]
 fn remap_cell(
+    frozen: &FrozenPricer<'_>,
     chip: &Chip,
     axis: Axis,
-    (x, y): (f64, f64),
+    cell: CellId,
     (old_lo, new_lo, scale): (f64, f64, f64),
-    price: impl FnOnce([(f64, f64); 2]) -> [f64; 2],
-) -> Option<(f64, f64)> {
+) -> Option<CellMove> {
+    let (x, y, layer) = frozen.placement().position(cell);
     let coord = match axis {
         Axis::X => x,
         Axis::Y => y,
@@ -483,16 +446,18 @@ fn remap_cell(
     // Eq. 17 movement retention: β is picked per cell between a full
     // move and a half move, whichever degrades the objective less;
     // spreading still progresses with β = ½.
-    let candidate = |c: f64| -> (f64, f64) {
-        match axis {
+    let candidate = |c: f64| -> (f64, f64, u16) {
+        let (cx, cy) = match axis {
             Axis::X => chip.clamp(c, y),
             Axis::Y => chip.clamp(x, c),
-        }
+        };
+        (cx, cy, layer)
     };
-    let full = candidate(mapped);
-    let half = candidate(0.5 * mapped + 0.5 * coord);
-    let [d_full, d_half] = price([full, half]);
-    Some(if d_half < d_full { half } else { full })
+    let [full, half] = [candidate(mapped), candidate(0.5 * mapped + 0.5 * coord)];
+    let mut deltas = [0.0; 2];
+    frozen.delta_move_batch_unmemoized(cell, &[full, half], &mut deltas);
+    let (x, y, layer) = if deltas[1] < deltas[0] { half } else { full };
+    Some(CellMove { cell, x, y, layer })
 }
 
 /// Phase-A planner for one row: boundary solve plus frozen-priced cell
@@ -524,95 +489,15 @@ fn plan_row(
         let new_lo = scratch.bounds[idx];
         let scale = (scratch.bounds[idx + 1] - scratch.bounds[idx]) / old_width;
         // The mesh is frozen during phase A, so the bin's resident list
-        // is read in place — no mid-row relocation can double-process a
-        // cell here, unlike the serial fallback.
-        for &cell in mesh.bin_cells(scratch.bins[idx]) {
-            let (x, y, layer) = frozen.placement().position(cell);
-            // Both β candidates in one fold of entries built here: this
-            // sweep's commit drops them, so memoizing would be waste.
-            let price = |[full, half]: [(f64, f64); 2]| {
-                let mut deltas = [0.0; 2];
-                frozen.delta_move_batch_unmemoized(
-                    cell,
-                    &[(full.0, full.1, layer), (half.0, half.1, layer)],
-                    &mut deltas,
-                );
-                deltas
-            };
-            let Some((tx, ty)) = remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), price)
-            else {
-                continue;
-            };
-            moves.push(CellMove {
-                cell,
-                x: tx,
-                y: ty,
-                layer,
-            });
-        }
+        // is read in place: no mid-row relocation can double-process a
+        // cell.
+        moves.extend(
+            mesh.bin_cells(scratch.bins[idx])
+                .iter()
+                .filter_map(|&cell| remap_cell(frozen, chip, axis, cell, (old_lo, new_lo, scale))),
+        );
     }
     max_delta
-}
-
-/// Serial row shift (the thermal-mode fallback): live-priced remaps
-/// committed cell by cell, exactly the historical loop. Returns
-/// `(cells moved, max relative boundary displacement)`.
-#[allow(clippy::too_many_arguments)]
-fn shift_row(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    scratch: &mut RowScratch,
-    axis: Axis,
-    target_density: f64,
-    strategy: ShiftStrategy,
-) -> (usize, f64) {
-    let (bin_w, bin_h) = mesh.bin_size();
-    let old_width = match axis {
-        Axis::X => bin_w,
-        Axis::Y => bin_h,
-    };
-    let Some(max_delta) = solve_row_bounds(mesh, scratch, old_width, target_density, strategy)
-    else {
-        return (0, 0.0);
-    };
-
-    // Snapshot bin contents (flattened into the reused buffers) before any
-    // relocation so a cell crossing into a later bin of the same row is
-    // not processed twice.
-    scratch.cells.clear();
-    scratch.offsets.clear();
-    scratch.offsets.push(0);
-    for &b in &scratch.bins {
-        scratch.cells.extend_from_slice(mesh.bin_cells(b));
-        scratch.offsets.push(scratch.cells.len());
-    }
-
-    let mut moved = 0;
-    for idx in 0..scratch.bins.len() {
-        let old_lo = idx as f64 * old_width;
-        let new_lo = scratch.bounds[idx];
-        let scale = (scratch.bounds[idx + 1] - scratch.bounds[idx]) / old_width;
-        for ci in scratch.offsets[idx]..scratch.offsets[idx + 1] {
-            let cell = scratch.cells[ci];
-            let (x, y, layer) = objective.placement().position(cell);
-            let price = |[full, half]: [(f64, f64); 2]| {
-                [
-                    objective.delta_move(cell, full.0, full.1, layer),
-                    objective.delta_move(cell, half.0, half.1, layer),
-                ]
-            };
-            let Some((tx, ty)) = remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), price)
-            else {
-                continue;
-            };
-            objective.apply_move(cell, tx, ty, layer);
-            mesh.relocate(netlist, cell, tx, ty, layer);
-            moved += 1;
-        }
-    }
-    (moved, max_delta)
 }
 
 /// Runs shifting passes until the mesh's maximum density drops below
@@ -949,56 +834,63 @@ mod tests {
     }
 
     /// The row-parallel plan/commit engine must produce bitwise-identical
-    /// placements at every thread count: chunk boundaries depend only on
-    /// the row count, and commits replay in row order.
+    /// placements and objectives at every thread count, in both objective
+    /// modes: chunk boundaries depend only on the row count, and commits
+    /// replay in row order.
     #[test]
     fn shift_passes_are_identical_across_thread_counts() {
         let netlist = generate(&SynthConfig::named("p", 400, 2.0e-9)).unwrap();
-        let config = PlacerConfig::new(2);
-        let chip = Chip::from_netlist(&netlist, &config).unwrap();
-        let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         use rand::rngs::SmallRng;
         use rand::{RngExt, SeedableRng};
-        let mut prng = SmallRng::seed_from_u64(11);
-        let mut placement = Placement::centered(netlist.num_cells(), &chip);
-        for i in 0..netlist.num_cells() {
-            placement.set(
-                tvp_netlist::CellId::new(i),
-                chip.width * prng.random_range(0.3..0.7),
-                chip.depth * prng.random_range(0.3..0.7),
-                (i % 2) as u16,
-            );
-        }
-        let run = |threads: usize| -> (Placement, usize) {
-            tvp_parallel::with_threads(threads, || {
-                let mut objective = IncrementalObjective::new(&netlist, &model, placement.clone());
-                let mut mesh = DensityMesh::coarse(&chip);
-                mesh.rebuild(&netlist, objective.placement());
-                let iters = spread(
-                    &mut objective,
-                    &mut mesh,
-                    &netlist,
-                    &chip,
-                    1.10,
-                    50,
-                    ShiftStrategy::WholeRow,
-                    &mut StageRun::default(),
-                )
-                .0;
-                (objective.placement().clone(), iters)
-            })
-        };
-        let (serial, serial_iters) = run(1);
-        for threads in [2usize, 4] {
-            let (parallel_placement, iters) = run(threads);
-            assert_eq!(serial_iters, iters, "pass count diverged at {threads}");
+        for alpha_temp in [0.0, 1.0e-4] {
+            let config = PlacerConfig::new(2).with_alpha_temp(alpha_temp);
+            let chip = Chip::from_netlist(&netlist, &config).unwrap();
+            let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
+            let mut prng = SmallRng::seed_from_u64(11);
+            let mut placement = Placement::centered(netlist.num_cells(), &chip);
             for i in 0..netlist.num_cells() {
-                let cell = tvp_netlist::CellId::new(i);
-                assert_eq!(
-                    serial.position(cell),
-                    parallel_placement.position(cell),
-                    "cell {i} diverged at threads={threads}"
+                placement.set(
+                    tvp_netlist::CellId::new(i),
+                    chip.width * prng.random_range(0.3..0.7),
+                    chip.depth * prng.random_range(0.3..0.7),
+                    (i % 2) as u16,
                 );
+            }
+            let run = |threads: usize| -> (Placement, usize, u64) {
+                tvp_parallel::with_threads(threads, || {
+                    let mut objective =
+                        IncrementalObjective::new(&netlist, &model, placement.clone());
+                    let mut mesh = DensityMesh::coarse(&chip);
+                    mesh.rebuild(&netlist, objective.placement());
+                    let iters = spread(
+                        &mut objective,
+                        &mut mesh,
+                        &netlist,
+                        &chip,
+                        1.10,
+                        50,
+                        ShiftStrategy::WholeRow,
+                        &mut StageRun::default(),
+                    )
+                    .0;
+                    let total = objective.total().to_bits();
+                    (objective.into_placement(), iters, total)
+                })
+            };
+            let (serial, serial_iters, serial_total) = run(1);
+            assert!(serial_iters > 0, "the pile must need shifting");
+            for threads in [2usize, 4] {
+                let (parallel_placement, iters, total) = run(threads);
+                assert_eq!(serial_iters, iters, "pass count diverged at {threads}");
+                assert_eq!(serial_total, total, "objective diverged at {threads}");
+                for i in 0..netlist.num_cells() {
+                    let cell = tvp_netlist::CellId::new(i);
+                    assert_eq!(
+                        serial.position(cell),
+                        parallel_placement.position(cell),
+                        "cell {i} diverged at threads={threads}, alpha_temp={alpha_temp}"
+                    );
+                }
             }
         }
     }

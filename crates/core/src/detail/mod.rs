@@ -293,14 +293,19 @@ pub fn legalize(
     stats
 }
 
-/// Checks full legality: every movable cell on a row center, inside the
-/// chip, with no same-layer overlaps. Returns a human-readable violation
-/// description, or `None` when legal.
+/// Checks full legality: every movable cell at a finite position on a
+/// row center, inside the chip, with no same-layer overlaps. Returns a
+/// human-readable violation description, or `None` when legal.
 pub fn check_legal(netlist: &Netlist, chip: &Chip, placement: &crate::Placement) -> Option<String> {
     const EPS: f64 = 1e-9;
     for (cell, x, y, layer) in placement.iter() {
         if !netlist.cell(cell).is_movable() {
             continue;
+        }
+        // Every comparison below is false for NaN, so a non-finite
+        // coordinate would pass them all.
+        if !x.is_finite() || !y.is_finite() {
+            return Some(format!("cell {cell} at a non-finite position ({x}, {y})"));
         }
         if (layer as usize) >= chip.num_layers {
             return Some(format!("cell {cell} on nonexistent layer {layer}"));
@@ -434,5 +439,17 @@ mod tests {
         let d = CellId::new(1);
         placement.set(d, x, y, l);
         assert!(check_legal(&netlist, &chip, &placement).is_some());
+    }
+
+    #[test]
+    fn check_legal_rejects_non_finite_positions() {
+        let (netlist, chip, _, _, _, mut placement) = legalized_fixture(100, 2);
+        let c = CellId::new(0);
+        let (x, y, l) = placement.position(c);
+        for (bad_x, bad_y) in [(f64::NAN, y), (x, f64::NAN), (f64::INFINITY, y)] {
+            placement.set(c, bad_x, bad_y, l);
+            let violation = check_legal(&netlist, &chip, &placement).expect("violation");
+            assert!(violation.contains("non-finite"), "{violation}");
+        }
     }
 }

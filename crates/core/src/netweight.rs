@@ -59,7 +59,7 @@ impl NetWeights {
         // One weight pair per net, each a pure function of that net's
         // driver position: chunk-parallel and bitwise identical for any
         // thread count.
-        tvp_parallel::for_each_chunk_mut2_cutoff(
+        tvp_parallel::for_each_chunk_mut2(
             &mut lateral,
             &mut vertical,
             NETWEIGHT_MIN_CHUNK,

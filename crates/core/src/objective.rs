@@ -22,25 +22,32 @@
 //! sequences.
 //!
 //! Pricing (`delta_move`, `delta_moves`, `delta_swap`) never touches the
-//! committed caches: candidate geometry, power, and resistance values are
-//! staged in a reusable epoch-stamped `DeltaWorkspace` owned by the
-//! evaluator. Commit (`apply_move`, `apply_moves`, `apply_swap`) prices
-//! through the same code path and then patches the staged values into the
-//! caches, so a probe and its commit return bitwise-identical deltas. A
-//! sweep commit (`apply_sweep`) prices nothing: it rescans the nets its
-//! moves touch and refolds the total, like a partial `rebuild`.
+//! committed caches. Every single move, in both objective modes, prices
+//! through one fold, [`FrozenPricer::delta_move`]: per net of the moved
+//! cell, the WL + α_ILV·ILV change read from the probe memo (below) and,
+//! with the thermal term, that net's power change at its driver's cached
+//! resistance; last, the cell's own change in `R·P`. `apply_move` patches
+//! the caches in place and returns that fold's delta bit for bit. A swap
+//! or move pair whose cells share no net prices and commits as single
+//! moves; only legs that share a net take the staged path, which stages
+//! candidate geometry, power and resistance in a reusable epoch-stamped
+//! `DeltaWorkspace` and replays the staging at commit. A sweep commit
+//! (`apply_sweep`) prices nothing: it rescans the nets its moves touch
+//! and refolds the total, like a partial `rebuild`.
 //!
 //! # Probe memo
 //!
-//! WL+ILV single-cell pricing and the coarse optimal-region rectangles
-//! both read one *probe entry* per (cell, distinct net): the net's
-//! extremes with the cell's own pins excluded, plus the committed
-//! geometry. The evaluator owns one lazily built memo of these entries,
-//! shared read-only (it is `Sync`) by every [`FrozenPricer`] worker. Each
-//! entry is a pure function of the committed state of its net, so the
-//! memo's only invalidation rule is exact: a commit that moves a cell
-//! drops the entries of every net that cell touches, and `rebuild` drops
-//! them all. Nothing outside this module creates or drops entries.
+//! Single-cell pricing and the coarse optimal-region rectangles both read
+//! one *probe entry* per (cell, distinct net): the net's extremes with
+//! the cell's own pins excluded, plus the committed geometry. The
+//! evaluator owns one lazily built memo of these entries, shared
+//! read-only (it is `Sync`) by every [`FrozenPricer`] worker. Each entry
+//! is a pure function of the committed state of its net, so the memo's
+//! only invalidation rule is exact: a commit that moves a cell drops the
+//! entries of every net that cell touches, and `rebuild` drops them all.
+//! Nothing outside this module creates or drops entries. The thermal
+//! fold reads powers and resistances from the live caches, never from
+//! an entry, so the rule holds in both modes.
 //!
 //! Cells connecting to one net through several pins are handled by a
 //! per-cell *distinct-net* CSR shared by pricing and commit: each incident
@@ -55,6 +62,7 @@
 
 use crate::power::PowerModel;
 use crate::{Chip, Placement, PlacerConfig};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -549,16 +557,17 @@ fn probe_entry_at(
 }
 
 /// Prices one net of a probe: folds the cell's pins at `pos` into the
-/// entry's exclusion extremes and returns the WL + α_ILV·ILV change.
-#[inline]
-fn probe_entry_delta(
+/// entry's exclusion extremes and returns the net's `(ΔWL, ΔILV)`.
+/// Forced inline: every pricer's inner loop is this fold, and an
+/// out-of-line call per net and target doubles a probe's cost.
+#[inline(always)]
+fn probe_entry_change(
     netlist: &Netlist,
     cell_nets: &DistinctNets,
     idx: usize,
     entry: &ProbeEntry,
     pos: (f64, f64, u16),
-    alpha_ilv: f64,
-) -> f64 {
+) -> (f64, f64) {
     let (mut x0, mut x1) = (entry.rx0, entry.rx1);
     let (mut y0, mut y1) = (entry.ry0, entry.ry1);
     let (mut l0, mut l1) = (entry.rl0, entry.rl1);
@@ -585,7 +594,67 @@ fn probe_entry_delta(
     }
     let new_wl = (x1 - x0) + (y1 - y0);
     let new_ilv = (l1 - l0) as f64;
-    (new_wl - entry.old_wl) + alpha_ilv * (new_ilv - entry.old_ilv)
+    (new_wl - entry.old_wl, new_ilv - entry.old_ilv)
+}
+
+/// Eq. 3's α_TEMP term as a move's delta folds it (DESIGN.md §11), read
+/// from the committed caches; present only while the term is active.
+#[derive(Clone, Copy)]
+struct ThermalTerm<'b> {
+    netlist: &'b Netlist,
+    model: &'b ObjectiveModel,
+    cell_power: &'b [f64],
+    cell_resistance: &'b [f64],
+}
+
+impl<'b> ThermalTerm<'b> {
+    /// The term over the given caches, or `None` in WL+ILV mode.
+    fn of(
+        netlist: &'b Netlist,
+        model: &'b ObjectiveModel,
+        cell_power: &'b [f64],
+        cell_resistance: &'b [f64],
+    ) -> Option<Self> {
+        (model.alpha_temp > 0.0).then_some(Self {
+            netlist,
+            model,
+            cell_power,
+            cell_resistance,
+        })
+    }
+
+    /// Net `e`'s power change `ΔP = s_wl·ΔWL + s_ilv·ΔILV` when `cell`
+    /// moves: added to `delta` at its driver's cached resistance, or, when
+    /// `cell` drives `e`, to the cell's own power change `own_dp`.
+    #[inline]
+    fn add_net(
+        &self,
+        cell: CellId,
+        e: NetId,
+        (dwl, dilv): (f64, f64),
+        delta: &mut f64,
+        own_dp: &mut f64,
+    ) {
+        let Some(d) = self.netlist.net_driver_cell(e) else {
+            return;
+        };
+        let dp = self.model.power.s_wl(e) * dwl + self.model.power.s_ilv(e) * dilv;
+        if d == cell {
+            *own_dp += dp;
+        } else {
+            *delta += self.model.alpha_temp * self.cell_resistance[d.index()] * dp;
+        }
+    }
+
+    /// The moved cell's own `α_TEMP·(R'·P' − R·P)` at `pos`, with
+    /// `P' = P + own_dp`.
+    #[inline]
+    fn own(&self, cell: CellId, pos: (f64, f64, u16), own_dp: f64) -> f64 {
+        let c = cell.index();
+        let (old_p, old_r) = (self.cell_power[c], self.cell_resistance[c]);
+        let new_r = resistance_at(self.model, self.netlist, cell, pos);
+        self.model.alpha_temp * (new_r * (old_p + own_dp) - old_r * old_p)
+    }
 }
 
 /// The probe memo (module docs): one lazily built [`ProbeEntry`] slot per
@@ -597,9 +666,7 @@ struct ProbeMemo {
     slots: Vec<OnceLock<ProbeEntry>>,
     /// Per net: set when one of its slots fills, cleared when they are
     /// dropped. A commit skips the pin walk of every net nobody probed
-    /// since its last invalidation — most nets in thermal mode, where
-    /// only the global pass's optimal regions read the memo. `Relaxed`
-    /// suffices: the flag publishes no data, and it is read only through
+    /// since its last invalidation. `Relaxed` suffices: the flag publishes no data, and it is read only through
     /// `&mut self`, after every worker that could have set it was joined.
     net_filled: Vec<AtomicBool>,
 }
@@ -660,13 +727,13 @@ impl ProbeMemo {
 }
 
 /// Read-only pricing view over the committed caches and the evaluator's
-/// probe memo, for data-parallel proposal generation (DESIGN.md §11,
-/// §16). It is `Sync` — unlike [`IncrementalObjective`], whose
-/// interior-mutable staging workspace pins it to one thread — so every
-/// worker of a parallel phase prices through the same view, and a probe
-/// entry built by one worker serves all of them. Only available in
-/// WL+ILV mode (`alpha_temp == 0`): the thermal term needs staged power
-/// bookkeeping a read-only view cannot provide.
+/// probe memo: the one single-move pricer, for the live objective and for
+/// data-parallel proposal generation alike (DESIGN.md §11, §16). It is
+/// `Sync` — unlike [`IncrementalObjective`], whose interior-mutable
+/// staging workspace pins it to one thread — so every worker of a
+/// parallel phase prices through the same view, and a probe entry built
+/// by one worker serves all of them. With the thermal term active it
+/// also folds Eq. 3's α_TEMP term from the cached powers and resistances.
 ///
 /// Deltas are priced against the state at snapshot time. Callers that
 /// interleave commits must re-validate each proposal against the live
@@ -679,6 +746,7 @@ pub struct FrozenPricer<'b> {
     cell_nets: &'b DistinctNets,
     probes: &'b ProbeMemo,
     alpha_ilv: f64,
+    thermal: Option<ThermalTerm<'b>>,
 }
 
 impl FrozenPricer<'_> {
@@ -709,31 +777,24 @@ impl FrozenPricer<'_> {
 
     /// Objective change if `cell` moved to `(x, y, layer)`, priced
     /// against the snapshot: one fold of the cell's memoized probe
-    /// entries in CSR order — the same fold the live
-    /// [`IncrementalObjective::delta_move`] runs in WL+ILV mode, so the
-    /// two agree bitwise.
+    /// entries in CSR order, in `delta_move_rescan`'s order of additions.
+    /// Per net it adds the WL + α_ILV·ILV change and, with the thermal
+    /// term, that net's power change at its driver's cached resistance
+    /// (or, when the cell drives the net, to the cell's own power
+    /// change); last comes the cell's own `α_TEMP·(R'·P' − R·P)`. The
+    /// live [`IncrementalObjective::delta_move`] is this fold, and
+    /// [`IncrementalObjective::apply_move`] returns it bit for bit.
+    #[inline]
     pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        let mut delta = 0.0;
-        for idx in self.cell_nets.range(cell) {
-            delta += probe_entry_delta(
-                self.netlist,
-                self.cell_nets,
-                idx,
-                self.entry(idx, cell),
-                (x, y, layer),
-                self.alpha_ilv,
-            );
-        }
-        delta
+        self.fold_one(cell, (x, y, layer), |idx| self.entry(idx, cell))
     }
 
     /// Objective change of moving `cell` to each of `targets`, written to
-    /// `out[t]` (`out` is as long as `targets`). The cell's memoized probe
-    /// entries are read once and folded net-major: each target's sum
-    /// starts at `0.0` and adds one term per net in CSR order, with
-    /// [`delta_move`](Self::delta_move)'s per-net arithmetic — the same
-    /// additions in the same order, so `out[t]` equals
-    /// `delta_move(cell, targets[t])` bit for bit.
+    /// `out[t]` (`out` is as long as `targets`), each bit for bit
+    /// `delta_move(cell, targets[t])`. In WL+ILV mode the cell's memoized
+    /// probe entries are read once and folded net-major: each target's
+    /// sum starts at `0.0` and adds one term per net in CSR order, the
+    /// additions `delta_move` makes.
     pub fn delta_move_batch(&self, cell: CellId, targets: &[(f64, f64, u16)], out: &mut [f64]) {
         self.fold_targets(cell, targets, out, |idx| *self.entry(idx, cell));
     }
@@ -760,8 +821,40 @@ impl FrozenPricer<'_> {
         });
     }
 
-    /// The net-major fold behind the batch pricers: one `entry(idx)` per
-    /// distinct net of `cell`, its term added to every target's sum.
+    /// [`delta_move`](Self::delta_move)'s fold over the entries `entry`
+    /// hands out. The objective mode is tested once, outside the net loop.
+    #[inline(always)]
+    fn fold_one<E: Borrow<ProbeEntry>>(
+        &self,
+        cell: CellId,
+        pos: (f64, f64, u16),
+        entry: impl Fn(usize) -> E,
+    ) -> f64 {
+        let (netlist, cell_nets, alpha_ilv) = (self.netlist, self.cell_nets, self.alpha_ilv);
+        let mut delta = 0.0;
+        let Some(thermal) = &self.thermal else {
+            for idx in cell_nets.range(cell) {
+                let (dwl, dilv) =
+                    probe_entry_change(netlist, cell_nets, idx, entry(idx).borrow(), pos);
+                delta += dwl + alpha_ilv * dilv;
+            }
+            return delta;
+        };
+        let mut own_dp = 0.0;
+        for idx in cell_nets.range(cell) {
+            let change = probe_entry_change(netlist, cell_nets, idx, entry(idx).borrow(), pos);
+            delta += change.0 + alpha_ilv * change.1;
+            let e = cell_nets.entries[idx].0;
+            thermal.add_net(cell, e, change, &mut delta, &mut own_dp);
+        }
+        delta + thermal.own(cell, pos, own_dp)
+    }
+
+    /// The fold behind the batch pricers. WL+ILV mode folds net-major,
+    /// one `entry(idx)` per distinct net of `cell` added to every
+    /// target's sum, and tests the mode outside the net and target loops.
+    /// Thermal batches are short (row shifting's two β candidates), so
+    /// each of their targets folds on its own.
     #[inline]
     fn fold_targets(
         &self,
@@ -771,21 +864,22 @@ impl FrozenPricer<'_> {
         entry: impl Fn(usize) -> ProbeEntry,
     ) {
         debug_assert_eq!(out.len(), targets.len());
+        if self.thermal.is_some() {
+            for (sum, &pos) in out.iter_mut().zip(targets) {
+                *sum = self.fold_one(cell, pos, &entry);
+            }
+            return;
+        }
         out.fill(0.0);
         if targets.is_empty() {
             return;
         }
-        for idx in self.cell_nets.range(cell) {
+        let (netlist, cell_nets, alpha_ilv) = (self.netlist, self.cell_nets, self.alpha_ilv);
+        for idx in cell_nets.range(cell) {
             let entry = entry(idx);
             for (sum, &pos) in out.iter_mut().zip(targets) {
-                *sum += probe_entry_delta(
-                    self.netlist,
-                    self.cell_nets,
-                    idx,
-                    &entry,
-                    pos,
-                    self.alpha_ilv,
-                );
+                let (dwl, dilv) = probe_entry_change(netlist, cell_nets, idx, &entry, pos);
+                *sum += dwl + alpha_ilv * dilv;
             }
         }
     }
@@ -814,10 +908,12 @@ impl FrozenPricer<'_> {
     }
 }
 
-/// Reusable staging area for pricing: epoch-stamped sparse overlays over
-/// the committed net/power/resistance caches, plus the staged move list
-/// and per-move deltas. Pricing writes only here; commit patches the
-/// staged values into the caches. Begin-of-probe cost is O(1) — clearing
+/// Reusable staging area for move sequences whose legs share a net:
+/// epoch-stamped sparse overlays over the committed net/power/resistance
+/// caches, plus the staged move list and per-move deltas. Pricing writes
+/// only here; commit patches the staged values into the caches. The
+/// sweep commit borrows its stamps to visit each touched net and driver
+/// once. Begin-of-sequence cost is O(1) — clearing
 /// is done by bumping the epoch, not by touching the stamp arrays. The
 /// power/resistance overlays are sized like the evaluator's thermal
 /// caches: empty in WL+ILV mode.
@@ -838,8 +934,6 @@ struct DeltaWorkspace {
     /// Per-move deltas; commit folds them into `total` one by one, so a
     /// committed swap perturbs `total` exactly like two sequential moves.
     deltas: Vec<f64>,
-    /// Scratch: drivers touched by the move being priced (deduplicated).
-    drivers: Vec<CellId>,
 }
 
 impl DeltaWorkspace {
@@ -871,6 +965,39 @@ impl DeltaWorkspace {
         self.res_cells.clear();
         self.moves.clear();
         self.deltas.clear();
+    }
+
+    /// A cell's staged power, else its committed one.
+    #[inline]
+    fn power(&self, cell: CellId, committed: &[f64]) -> f64 {
+        let c = cell.index();
+        if self.power_stamp[c] == self.epoch {
+            self.power_val[c]
+        } else {
+            committed[c]
+        }
+    }
+
+    /// A cell's staged resistance, else its committed one.
+    #[inline]
+    fn resistance(&self, cell: CellId, committed: &[f64]) -> f64 {
+        let c = cell.index();
+        if self.res_stamp[c] == self.epoch {
+            self.res_val[c]
+        } else {
+            committed[c]
+        }
+    }
+
+    /// Stages a cell's power.
+    #[inline]
+    fn stage_power(&mut self, cell: CellId, p: f64) {
+        let c = cell.index();
+        if self.power_stamp[c] != self.epoch {
+            self.power_stamp[c] = self.epoch;
+            self.power_cells.push(cell);
+        }
+        self.power_val[c] = p;
     }
 
     /// The position a cell would have after the staged moves.
@@ -951,7 +1078,7 @@ impl<'a> IncrementalObjective<'a> {
         let mut nets = std::mem::take(&mut self.nets);
         {
             let placement = &self.placement;
-            parallel::for_each_chunk_mut_cutoff(
+            parallel::for_each_chunk_mut(
                 &mut nets,
                 REBUILD_MIN_CHUNK,
                 REBUILD_SERIAL_BELOW,
@@ -972,7 +1099,7 @@ impl<'a> IncrementalObjective<'a> {
             let model = self.model;
             let placement = &self.placement;
             let nets = &self.nets;
-            parallel::for_each_chunk_mut2_cutoff(
+            parallel::for_each_chunk_mut2(
                 &mut cell_power,
                 &mut cell_resistance,
                 REBUILD_MIN_CHUNK,
@@ -980,10 +1107,7 @@ impl<'a> IncrementalObjective<'a> {
                 |start, powers, resistances| {
                     for (off, (p, r)) in powers.iter_mut().zip(resistances.iter_mut()).enumerate() {
                         let cell = CellId::new(start + off);
-                        *p = model.power.cell_power(netlist, cell, |e| {
-                            let g = nets[e.index()].geometry();
-                            (g.wirelength(), g.ilv)
-                        });
+                        *p = power_from(model, netlist, nets, cell);
                         *r = resistance_at(model, netlist, cell, placement.position(cell));
                     }
                 },
@@ -1003,7 +1127,7 @@ impl<'a> IncrementalObjective<'a> {
     fn compute_total(&self) -> f64 {
         let alpha_ilv = self.model.alpha_ilv;
         let nets = &self.nets;
-        let mut total = parallel::sum_chunks(nets.len(), SUM_MIN_CHUNK, |range| {
+        let mut total = parallel::sum_chunks(nets.len(), SUM_MIN_CHUNK, 0, |range| {
             nets[range]
                 .iter()
                 .map(|ext| {
@@ -1016,7 +1140,7 @@ impl<'a> IncrementalObjective<'a> {
             let alpha_temp = self.model.alpha_temp;
             let cell_power = &self.cell_power;
             let cell_resistance = &self.cell_resistance;
-            total += parallel::sum_chunks(cell_power.len(), SUM_MIN_CHUNK, |range| {
+            total += parallel::sum_chunks(cell_power.len(), SUM_MIN_CHUNK, 0, |range| {
                 cell_resistance[range.clone()]
                     .iter()
                     .zip(&cell_power[range])
@@ -1077,31 +1201,6 @@ impl<'a> IncrementalObjective<'a> {
             .unwrap_or(0.0)
     }
 
-    fn resistance_at(&self, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        resistance_at(self.model, self.netlist, cell, pos)
-    }
-
-    /// The staged (if any) or committed geometry of a net.
-    #[inline]
-    fn staged_geometry(&self, ws: &DeltaWorkspace, e: NetId) -> NetGeometry {
-        let ei = e.index();
-        if ws.net_stamp[ei] == ws.epoch {
-            ws.net_entries[ws.net_slot[ei] as usize].1.geometry()
-        } else {
-            self.nets[ei].geometry()
-        }
-    }
-
-    /// From-scratch cell power against staged-or-committed geometry — the
-    /// exact arithmetic `rebuild` uses, so committed power caches stay
-    /// bitwise equal to a rebuild.
-    fn staged_cell_power(&self, ws: &DeltaWorkspace, cell: CellId) -> f64 {
-        self.model.power.cell_power(self.netlist, cell, |e| {
-            let g = self.staged_geometry(ws, e);
-            (g.wirelength(), g.ilv)
-        })
-    }
-
     /// Rescan of net `e` with all staged moves plus the candidate applied.
     fn rescan(
         &self,
@@ -1124,17 +1223,15 @@ impl<'a> IncrementalObjective<'a> {
         ext
     }
 
-    /// Prices one move on top of the staged state, staging its geometry,
-    /// power, and resistance effects. The returned delta is exactly what
-    /// committing this move (after the already-staged ones) adds to
-    /// `total`.
+    /// Prices one move on top of the staged state with the probe fold's
+    /// arithmetic — each power changes linearly, at its staged-or-cached
+    /// resistance — and stages its geometry, power and resistance
+    /// effects. The returned delta is exactly what committing this move
+    /// (after the already-staged ones) adds to `total`.
     fn price_move(&self, ws: &mut DeltaWorkspace, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        let alpha_ilv = self.model.alpha_ilv;
-        let alpha_temp = self.model.alpha_temp;
+        let (alpha_ilv, alpha_temp) = (self.model.alpha_ilv, self.model.alpha_temp);
         let old_pos = ws.effective_position(&self.placement, cell);
-        let mut delta = 0.0;
-        ws.drivers.clear();
-
+        let (mut delta, mut own_dp) = (0.0, 0.0);
         for idx in self.cell_nets.range(cell) {
             let (e, plo, phi) = self.cell_nets.entries[idx];
             let ei = e.index();
@@ -1145,24 +1242,22 @@ impl<'a> IncrementalObjective<'a> {
                 self.nets[ei]
             };
             let mut new_ext = old_ext;
-            let mut ok = true;
-            for &p in &self.cell_nets.pins[plo as usize..phi as usize] {
-                let pin = self.netlist.pin(p);
-                let (dx, dy) = (pin.offset_x(), pin.offset_y());
-                if !new_ext.update(
-                    (old_pos.0 + dx, old_pos.1 + dy, old_pos.2),
-                    (pos.0 + dx, pos.1 + dy, pos.2),
-                ) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
+            let updated = self.cell_nets.pins[plo as usize..phi as usize]
+                .iter()
+                .all(|&p| {
+                    let pin = self.netlist.pin(p);
+                    let (dx, dy) = (pin.offset_x(), pin.offset_y());
+                    new_ext.update(
+                        (old_pos.0 + dx, old_pos.1 + dy, old_pos.2),
+                        (pos.0 + dx, pos.1 + dy, pos.2),
+                    )
+                });
+            if !updated {
                 new_ext = self.rescan(ws, e, cell, pos);
             }
-            let og = old_ext.geometry();
-            let ng = new_ext.geometry();
-            delta += (ng.wirelength() - og.wirelength()) + alpha_ilv * (ng.ilv - og.ilv);
+            let (og, ng) = (old_ext.geometry(), new_ext.geometry());
+            let (dwl, dilv) = (ng.wirelength() - og.wirelength(), ng.ilv - og.ilv);
+            delta += dwl + alpha_ilv * dilv;
             if staged {
                 ws.net_entries[ws.net_slot[ei] as usize].1 = new_ext;
             } else {
@@ -1170,80 +1265,43 @@ impl<'a> IncrementalObjective<'a> {
                 ws.net_slot[ei] = ws.net_entries.len() as u32;
                 ws.net_entries.push((e, new_ext));
             }
-            if alpha_temp > 0.0 && ng != og {
-                if let Some(d) = self.netlist.net_driver_cell(e) {
-                    if d != cell && !ws.drivers.contains(&d) {
-                        ws.drivers.push(d);
-                    }
-                }
+            let Some(d) = self.netlist.net_driver_cell(e).filter(|_| alpha_temp > 0.0) else {
+                continue;
+            };
+            let dp = self.model.power.s_wl(e) * dwl + self.model.power.s_ilv(e) * dilv;
+            if d == cell {
+                own_dp += dp;
+            } else {
+                delta += alpha_temp * ws.resistance(d, &self.cell_resistance) * dp;
+                ws.stage_power(d, ws.power(d, &self.cell_power) + dp);
             }
         }
-
         if alpha_temp > 0.0 {
-            // Drivers of changed nets: their power changes at a fixed
-            // resistance. Recomputed from scratch against the staged
-            // geometry so the committed cache matches a rebuild bitwise.
-            for i in 0..ws.drivers.len() {
-                let d = ws.drivers[i];
-                let di = d.index();
-                let p_old = if ws.power_stamp[di] == ws.epoch {
-                    ws.power_val[di]
-                } else {
-                    self.cell_power[di]
-                };
-                let p_new = self.staged_cell_power(ws, d);
-                let r_d = if ws.res_stamp[di] == ws.epoch {
-                    ws.res_val[di]
-                } else {
-                    self.cell_resistance[di]
-                };
-                delta += alpha_temp * r_d * (p_new - p_old);
-                if ws.power_stamp[di] != ws.epoch {
-                    ws.power_stamp[di] = ws.epoch;
-                    ws.power_cells.push(d);
-                }
-                ws.power_val[di] = p_new;
-            }
-            // The moved cell: both its resistance and (if it drives any of
-            // its own nets) its power change.
-            let ci = cell.index();
-            let p_old = if ws.power_stamp[ci] == ws.epoch {
-                ws.power_val[ci]
-            } else {
-                self.cell_power[ci]
-            };
-            let p_new = self.staged_cell_power(ws, cell);
-            let r_old = if ws.res_stamp[ci] == ws.epoch {
-                ws.res_val[ci]
-            } else {
-                self.cell_resistance[ci]
-            };
-            let r_new = self.resistance_at(cell, pos);
-            delta += alpha_temp * (r_new * p_new - r_old * p_old);
-            if ws.power_stamp[ci] != ws.epoch {
-                ws.power_stamp[ci] = ws.epoch;
-                ws.power_cells.push(cell);
-            }
-            ws.power_val[ci] = p_new;
-            if ws.res_stamp[ci] != ws.epoch {
-                ws.res_stamp[ci] = ws.epoch;
+            let p_old = ws.power(cell, &self.cell_power);
+            let r_old = ws.resistance(cell, &self.cell_resistance);
+            let r_new = resistance_at(self.model, self.netlist, cell, pos);
+            delta += alpha_temp * (r_new * (p_old + own_dp) - r_old * p_old);
+            ws.stage_power(cell, p_old + own_dp);
+            if ws.res_stamp[cell.index()] != ws.epoch {
+                ws.res_stamp[cell.index()] = ws.epoch;
                 ws.res_cells.push(cell);
             }
-            ws.res_val[ci] = r_new;
+            ws.res_val[cell.index()] = r_new;
         }
-
         ws.moves.push((cell, pos));
         ws.deltas.push(delta);
         delta
     }
 
-    /// Patches all staged values into the caches.
+    /// Patches all staged values into the caches. Powers take the rebuild
+    /// arithmetic over the committed geometry, not the staged linear
+    /// updates, so the caches stay bitwise equal to a rebuild.
     fn commit(&mut self, ws: &DeltaWorkspace) {
         for &(e, ext) in &ws.net_entries {
             self.nets[e.index()] = ext;
         }
         for &c in &ws.power_cells {
-            self.cell_power[c.index()] = ws.power_val[c.index()];
+            self.cell_power[c.index()] = power_from(self.model, self.netlist, &self.nets, c);
         }
         for &c in &ws.res_cells {
             self.cell_resistance[c.index()] = ws.res_val[c.index()];
@@ -1256,15 +1314,10 @@ impl<'a> IncrementalObjective<'a> {
         }
     }
 
-    /// True when the probe memo prices exactly like the staged path:
-    /// WL-only mode (the thermal term needs staged power bookkeeping).
-    #[inline]
-    fn fast_probes(&self) -> bool {
-        self.model.alpha_temp == 0.0
-    }
-
-    /// The probe-memo view of the committed state, in any objective mode.
-    fn memo(&self) -> FrozenPricer<'_> {
+    /// A [`FrozenPricer`] view of the committed state: the probe memo
+    /// plus, with the thermal term active, the power and resistance
+    /// caches.
+    pub fn frozen_pricer(&self) -> FrozenPricer<'_> {
         FrozenPricer {
             netlist: self.netlist,
             placement: &self.placement,
@@ -1272,6 +1325,12 @@ impl<'a> IncrementalObjective<'a> {
             cell_nets: &self.cell_nets,
             probes: &self.probes,
             alpha_ilv: self.model.alpha_ilv,
+            thermal: ThermalTerm::of(
+                self.netlist,
+                self.model,
+                &self.cell_power,
+                &self.cell_resistance,
+            ),
         }
     }
 
@@ -1287,32 +1346,11 @@ impl<'a> IncrementalObjective<'a> {
         }
     }
 
-    /// A [`FrozenPricer`] view of the committed state, or `None` when the
-    /// thermal term is active (pricing then needs staged power
-    /// bookkeeping a read-only view cannot provide).
-    pub fn frozen_pricer(&self) -> Option<FrozenPricer<'_>> {
-        self.fast_probes().then(|| self.memo())
-    }
-
-    /// Calls `push` with the optimal-region exclusion rectangles of
-    /// `cell` — see [`FrozenPricer::exclusion_rects`]. Available in every
-    /// objective mode: the rectangles are pure WL geometry.
-    pub fn exclusion_rects(&self, cell: CellId, push: impl FnMut(f64, f64, f64, f64)) {
-        self.memo().exclusion_rects(cell, push);
-    }
-
     /// Objective change if `cell` moved to `(x, y, layer)`, without
-    /// committing. Negative is an improvement. In WL+ILV mode this is the
-    /// probe-memo fold of [`FrozenPricer::delta_move`]; with the thermal
-    /// term it stages the move in the allocation-free workspace.
+    /// committing. Negative is an improvement. This is the probe-memo
+    /// fold of [`FrozenPricer::delta_move`].
     pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        if let Some(frozen) = self.frozen_pricer() {
-            return frozen.delta_move(cell, x, y, layer);
-        }
-        let mut ws = self.pricing.borrow_mut();
-        let ws = &mut *ws;
-        ws.begin();
-        self.price_move(ws, cell, (x, y, layer))
+        self.frozen_pricer().delta_move(cell, x, y, layer)
     }
 
     /// Objective change for executing `moves` in order (later moves are
@@ -1320,12 +1358,14 @@ impl<'a> IncrementalObjective<'a> {
     /// folding the per-move deltas left to right, exactly as
     /// [`apply_moves`](Self::apply_moves) would add them to `total`.
     pub fn delta_moves(&self, moves: &[CellMove]) -> f64 {
-        match (self.frozen_pricer(), moves) {
-            (Some(frozen), [m]) => frozen.delta_move(m.cell, m.x, m.y, m.layer),
-            (Some(frozen), [a, b]) if self.nets_disjoint(a.cell, b.cell) => {
-                // Disjoint cells price independently: the staged path
-                // would see no cross-talk between the two legs, so two
-                // memo probes summed in order are bitwise identical.
+        match moves {
+            [m] => self.delta_move(m.cell, m.x, m.y, m.layer),
+            [a, b] if self.nets_disjoint(a.cell, b.cell) => {
+                // Cells that share no net price independently: neither
+                // leg moves a pin, a driver or a power the other reads,
+                // so two single-move folds summed in order are exactly
+                // what committing the legs one by one applies.
+                let frozen = self.frozen_pricer();
                 let mut sum = frozen.delta_move(a.cell, a.x, a.y, a.layer);
                 sum += frozen.delta_move(b.cell, b.x, b.y, b.layer);
                 sum
@@ -1367,62 +1407,78 @@ impl<'a> IncrementalObjective<'a> {
     /// committing. Read-only: `total`, the caches, and the placement are
     /// untouched.
     pub fn delta_swap(&self, a: CellId, b: CellId) -> f64 {
-        let pa = self.placement.position(a);
-        let pb = self.placement.position(b);
-        self.delta_moves(&[
+        self.delta_moves(&self.swap_moves(a, b))
+    }
+
+    /// The two moves that swap the positions of `a` and `b`.
+    fn swap_moves(&self, a: CellId, b: CellId) -> [CellMove; 2] {
+        let ((ax, ay, al), (bx, by, bl)) = (self.placement.position(a), self.placement.position(b));
+        [
             CellMove {
                 cell: a,
-                x: pb.0,
-                y: pb.1,
-                layer: pb.2,
+                x: bx,
+                y: by,
+                layer: bl,
             },
             CellMove {
                 cell: b,
-                x: pa.0,
-                y: pa.1,
-                layer: pa.2,
+                x: ax,
+                y: ay,
+                layer: al,
             },
-        ])
+        ]
     }
 
     /// Moves `cell` to `(x, y, layer)`, updating all caches. Returns the
-    /// objective change that was applied.
+    /// objective change that was applied: the probe fold's delta
+    /// ([`FrozenPricer::delta_move`]) bit for bit.
     pub fn apply_move(&mut self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        if !self.fast_probes() {
-            return self.apply_moves(&[CellMove { cell, x, y, layer }]);
-        }
-        // WL-only single-move commit: patch the caches in place — the
-        // same per-net update-or-rescan and the same delta arithmetic as
-        // the staged path, minus the staging round trip. A commit is the
-        // staged path's one-move sequence, so the returned delta is
-        // bitwise identical (and equals the memo probe's).
+        // Patch the caches in place: per net, the update-or-rescan of its
+        // extremes. The new extremes hold the very min/max values the
+        // probe folds from its exclusion extremes, so each net's
+        // (ΔWL, ΔILV) — and with them every addition of the probe's fold,
+        // in the same order — are the probe's.
+        let netlist = self.netlist;
         let pos = (x, y, layer);
         let old_pos = self.placement.position(cell);
         let alpha_ilv = self.model.alpha_ilv;
-        let mut delta = 0.0;
+        let thermal = ThermalTerm::of(netlist, self.model, &self.cell_power, &self.cell_resistance);
+        let (mut delta, mut own_dp) = (0.0, 0.0);
         for idx in self.cell_nets.range(cell) {
             let (e, plo, phi) = self.cell_nets.entries[idx];
             let old_ext = self.nets[e.index()];
             let mut new_ext = old_ext;
-            let mut ok = true;
-            for &p in &self.cell_nets.pins[plo as usize..phi as usize] {
-                let pin = self.netlist.pin(p);
-                let (dx, dy) = (pin.offset_x(), pin.offset_y());
-                if !new_ext.update(
-                    (old_pos.0 + dx, old_pos.1 + dy, old_pos.2),
-                    (pos.0 + dx, pos.1 + dy, pos.2),
-                ) {
-                    ok = false;
-                    break;
+            let updated = self.cell_nets.pins[plo as usize..phi as usize]
+                .iter()
+                .all(|&p| {
+                    let (dx, dy) = (netlist.pin(p).offset_x(), netlist.pin(p).offset_y());
+                    new_ext.update(
+                        (old_pos.0 + dx, old_pos.1 + dy, old_pos.2),
+                        (pos.0 + dx, pos.1 + dy, pos.2),
+                    )
+                });
+            if !updated {
+                new_ext = scan_net_extremes(netlist, &self.placement, e, &[(cell, pos)]);
+            }
+            let (og, ng) = (old_ext.geometry(), new_ext.geometry());
+            let change = (ng.wirelength() - og.wirelength(), ng.ilv - og.ilv);
+            delta += change.0 + alpha_ilv * change.1;
+            if let Some(thermal) = &thermal {
+                thermal.add_net(cell, e, change, &mut delta, &mut own_dp);
+            }
+            self.nets[e.index()] = new_ext;
+        }
+        if let Some(thermal) = thermal {
+            delta += thermal.own(cell, pos, own_dp);
+            // The caches take the exact rebuild arithmetic, not the
+            // fold's linear update: each driver's power from its nets'
+            // new geometry, the cell's resistance at its new position.
+            for idx in self.cell_nets.range(cell) {
+                if let Some(d) = netlist.net_driver_cell(self.cell_nets.entries[idx].0) {
+                    self.cell_power[d.index()] = power_from(self.model, netlist, &self.nets, d);
                 }
             }
-            if !ok {
-                new_ext = scan_net_extremes(self.netlist, &self.placement, e, &[(cell, pos)]);
-            }
-            let og = old_ext.geometry();
-            let ng = new_ext.geometry();
-            delta += (ng.wirelength() - og.wirelength()) + alpha_ilv * (ng.ilv - og.ilv);
-            self.nets[e.index()] = new_ext;
+            self.cell_resistance[cell.index()] = resistance_at(self.model, netlist, cell, pos);
         }
         self.placement.set(cell, x, y, layer);
         self.total += delta;
@@ -1432,8 +1488,19 @@ impl<'a> IncrementalObjective<'a> {
 
     /// Executes `moves` in order, updating all caches once. Returns the
     /// total objective change, bitwise equal to what
-    /// [`delta_moves`](Self::delta_moves) predicted.
+    /// [`delta_moves`](Self::delta_moves) predicted: one move, or two
+    /// that share no net, commit as single moves; only legs that share a
+    /// net take the staged path.
     pub fn apply_moves(&mut self, moves: &[CellMove]) -> f64 {
+        match moves {
+            [m] => return self.apply_move(m.cell, m.x, m.y, m.layer),
+            [a, b] if self.nets_disjoint(a.cell, b.cell) => {
+                let mut sum = self.apply_move(a.cell, a.x, a.y, a.layer);
+                sum += self.apply_move(b.cell, b.x, b.y, b.layer);
+                return sum;
+            }
+            _ => {}
+        }
         let mut ws = self.pricing.take();
         ws.begin();
         let mut sum = 0.0;
@@ -1489,10 +1556,7 @@ impl<'a> IncrementalObjective<'a> {
         if thermal {
             let (model, nets) = (self.model, &self.nets);
             for &d in &ws.power_cells {
-                self.cell_power[d.index()] = model.power.cell_power(netlist, d, |e| {
-                    let g = nets[e.index()].geometry();
-                    (g.wirelength(), g.ilv)
-                });
+                self.cell_power[d.index()] = power_from(model, netlist, nets, d);
             }
             for m in moves {
                 let pos = self.placement.position(m.cell);
@@ -1504,30 +1568,16 @@ impl<'a> IncrementalObjective<'a> {
 
     /// Swaps the positions of two cells. Returns the objective change.
     pub fn apply_swap(&mut self, a: CellId, b: CellId) -> f64 {
-        let pa = self.placement.position(a);
-        let pb = self.placement.position(b);
-        self.apply_moves(&[
-            CellMove {
-                cell: a,
-                x: pb.0,
-                y: pb.1,
-                layer: pb.2,
-            },
-            CellMove {
-                cell: b,
-                x: pa.0,
-                y: pa.1,
-                layer: pa.2,
-            },
-        ])
+        let moves = self.swap_moves(a, b);
+        self.apply_moves(&moves)
     }
 
     /// Reference pricing kernel: prices a move by fully rescanning every
     /// incident net's bounding box, one scan per pin — the pre-delta-engine
     /// algorithm. Kept for benches (the speedup baseline) and as an
-    /// independent oracle in tests. With `alpha_temp == 0` it returns the
-    /// same delta as [`delta_move`](Self::delta_move) bitwise (for
-    /// netlists without shared-net pins; with them, this kernel
+    /// independent oracle in tests. It returns the same delta as
+    /// [`delta_move`](Self::delta_move) bitwise in both objective modes
+    /// (for netlists without shared-net pins; with them, this kernel
     /// double-counts — the historical bug the distinct-net CSR fixes).
     pub fn delta_move_rescan(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
         let pos = (x, y, layer);
@@ -1557,7 +1607,7 @@ impl<'a> IncrementalObjective<'a> {
         if alpha_temp > 0.0 {
             let c = cell.index();
             let old_r = self.cell_resistance[c];
-            let new_r = self.resistance_at(cell, pos);
+            let new_r = resistance_at(self.model, self.netlist, cell, pos);
             let old_p = self.cell_power[c];
             let new_p = old_p + moved_cell_dp;
             delta += alpha_temp * (new_r * new_p - old_r * old_p);
@@ -1634,6 +1684,20 @@ fn thermal_cells(netlist: &Netlist, model: &ObjectiveModel) -> usize {
     } else {
         0
     }
+}
+
+/// `cell`'s power (Eq. 10) from the committed net geometry: the
+/// arithmetic of `rebuild`, which every power-cache patch repeats.
+fn power_from(
+    model: &ObjectiveModel,
+    netlist: &Netlist,
+    nets: &[NetExtremes],
+    cell: CellId,
+) -> f64 {
+    model.power.cell_power(netlist, cell, |e| {
+        let g = nets[e.index()].geometry();
+        (g.wirelength(), g.ilv)
+    })
 }
 
 fn resistance_at(
@@ -1775,9 +1839,10 @@ mod tests {
 
     #[test]
     fn cached_probe_matches_staged_commit_wl_only() {
-        // WL-only probes go through the probe memo while commits price
-        // through the staged path; the two must agree bitwise, for moves
-        // and for swaps (disjoint and net-sharing).
+        // Probes read the probe memo while commits patch the caches in
+        // place (or, for swaps of cells sharing a net, replay the staged
+        // path); the two must agree bitwise, for moves and for swaps
+        // (disjoint and net-sharing).
         let (netlist, chip, config) = fixture(0.0);
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let placement = random_spread(&netlist, &chip, 11);
@@ -1818,7 +1883,7 @@ mod tests {
         let (netlist, chip, config) = fixture(0.0);
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let obj = IncrementalObjective::new(&netlist, &model, random_spread(&netlist, &chip, 13));
-        let frozen = obj.frozen_pricer().unwrap();
+        let frozen = obj.frozen_pricer();
         let mut rng = SmallRng::seed_from_u64(14);
         let mut probes = Vec::new();
         for _ in 0..200 {

@@ -50,6 +50,8 @@ pub enum DiagnosticCode {
     EmptyNet,
     /// A net has exactly one pin (contributes nothing to wirelength).
     SinglePinNet,
+    /// A fixed cell is seeded at a NaN or infinite position.
+    NonFiniteFixedPosition,
     /// Two fixed cells occupy overlapping footprints on the same layer.
     OverlappingFixedCells,
     /// A cell is wider than the widest placement row.
@@ -74,6 +76,7 @@ impl DiagnosticCode {
             DiagnosticCode::NonFiniteCellDims => "non-finite-cell-dims",
             DiagnosticCode::EmptyNet => "empty-net",
             DiagnosticCode::SinglePinNet => "single-pin-net",
+            DiagnosticCode::NonFiniteFixedPosition => "non-finite-fixed-position",
             DiagnosticCode::OverlappingFixedCells => "overlapping-fixed-cells",
             DiagnosticCode::CellWiderThanRow => "cell-wider-than-row",
             DiagnosticCode::AreaExceedsCapacity => "area-exceeds-capacity",
@@ -272,14 +275,29 @@ pub fn validate(netlist: &Netlist, options: &ValidateOptions<'_>) -> ValidationR
         );
     }
 
-    // Overlapping fixed cells (footprints centered on the seeded
-    // positions, same layer only). Fixed sets are small, so the pairwise
-    // scan is fine.
-    let placed: Vec<(CellId, f64, f64, u16)> = options
+    // Non-finite fixed positions: nothing downstream can place against
+    // them, and every comparison with NaN is false.
+    let known = options
         .fixed_positions
         .iter()
         .copied()
-        .filter(|&(c, x, y, _)| c.index() < netlist.num_cells() && x.is_finite() && y.is_finite())
+        .filter(|&(c, ..)| c.index() < netlist.num_cells());
+    for (c, x, y, _) in known.clone() {
+        if !x.is_finite() || !y.is_finite() {
+            report.push(
+                DiagnosticCode::NonFiniteFixedPosition,
+                Severity::Error,
+                netlist.cell(c).name(),
+                format!("fixed position ({x}, {y}) is not finite"),
+            );
+        }
+    }
+
+    // Overlapping fixed cells (footprints centered on the seeded
+    // positions, same layer only). Fixed sets are small, so the pairwise
+    // scan is fine.
+    let placed: Vec<(CellId, f64, f64, u16)> = known
+        .filter(|&(_, x, y, _)| x.is_finite() && y.is_finite())
         .collect();
     for (i, &(ca, xa, ya, la)) in placed.iter().enumerate() {
         for &(cb, xb, yb, lb) in &placed[i + 1..] {
@@ -536,6 +554,37 @@ mod tests {
         let report = validate(&netlist, &ValidateOptions::default());
         assert!(!report.is_placeable());
         assert!(codes(&report).contains(&DiagnosticCode::NoMovableCells));
+    }
+
+    #[test]
+    fn flags_non_finite_fixed_positions_as_errors() {
+        let mut b = NetlistBuilder::new();
+        let f0 = b.add_cell_with_kind("f0", 2e-6, 2e-6, CellKind::Fixed);
+        let f1 = b.add_cell_with_kind("f1", 2e-6, 2e-6, CellKind::Fixed);
+        let m = b.add_cell("m", 1e-6, 1e-6);
+        two_cell_net(&mut b, "n", f0, m);
+        two_cell_net(&mut b, "n2", f1, m);
+        let netlist = b.build().unwrap();
+
+        let positions = [(f0, f64::NAN, 0.0, 0), (f1, 5e-6, f64::INFINITY, 0)];
+        let report = validate(
+            &netlist,
+            &ValidateOptions {
+                fixed_positions: &positions,
+                ..ValidateOptions::default()
+            },
+        );
+        assert!(!report.is_placeable());
+        let flagged: Vec<&str> = report
+            .errors()
+            .filter(|d| d.code == DiagnosticCode::NonFiniteFixedPosition)
+            .map(|d| d.subject.as_str())
+            .collect();
+        assert_eq!(flagged, ["f0", "f1"]);
+        assert_eq!(
+            DiagnosticCode::NonFiniteFixedPosition.as_str(),
+            "non-finite-fixed-position"
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! the thermal term is active, `cell_power` and `cell_resistance` — is
 //! *bitwise* equal to what a from-scratch `rebuild()` of the same
 //! placement produces, at every thread count. Pricing is read-only, and
-//! a probe's delta is bitwise equal to the delta its commit applies.
+//! a probe's delta is bitwise equal to the delta its commit applies, in
+//! both objective modes; with the thermal term the single-move probe
+//! also equals the `delta_move_rescan` oracle bit for bit.
 //! The probe memo never serves a stale entry: after every commit, the
 //! moved cells and their net neighbours price exactly like they do on a
 //! freshly built evaluator of the same placement. The commits include
@@ -71,12 +73,13 @@ fn random_design(cells: usize, seed: u64, shared: bool) -> Netlist {
 }
 
 /// Everything the probe memo answers for one cell and candidate
-/// position, as raw bits: the live `delta_move`, the `frozen_pricer()`
-/// delta and its batch fold (WL+ILV mode only), and the optimal-region
-/// exclusion rectangles. The batch fold prices the candidate beside the
-/// cell's own position, and each of its sums must equal the single probe
-/// of the same target bit for bit.
-type ProbeBits = (u64, Option<u64>, Option<u64>, Vec<[u64; 4]>);
+/// position, as raw bits: the live `delta_move` (which the
+/// `frozen_pricer()` delta and its batch fold must equal, in both
+/// objective modes) and the optimal-region exclusion rectangles. The
+/// batch fold prices the candidate beside the cell's own position, and
+/// each of its sums must equal the single probe of the same target bit
+/// for bit.
+type ProbeBits = (u64, Vec<[u64; 4]>);
 
 fn probe_bits(
     obj: &IncrementalObjective<'_>,
@@ -84,30 +87,27 @@ fn probe_bits(
     (x, y, l): (f64, f64, u16),
 ) -> ProbeBits {
     let live = obj.delta_move(cell, x, y, l).to_bits();
-    let frozen = obj
-        .frozen_pricer()
-        .map(|f| f.delta_move(cell, x, y, l).to_bits());
-    let batch = obj.frozen_pricer().map(|f| {
-        let here = obj.placement().position(cell);
-        let mut sums = [0.0; 2];
-        f.delta_move_batch(cell, &[(x, y, l), here], &mut sums);
-        assert_eq!(
-            sums[1].to_bits(),
-            f.delta_move(cell, here.0, here.1, here.2).to_bits(),
-            "batch fold of cell {} at its own position",
-            cell.index()
-        );
-        sums[0].to_bits()
-    });
-    if batch.is_some() {
-        assert_eq!(frozen, Some(live), "frozen probe == live probe");
-        assert_eq!(batch, Some(live), "batch fold == delta_move");
-    }
+    let frozen = obj.frozen_pricer();
+    assert_eq!(
+        frozen.delta_move(cell, x, y, l).to_bits(),
+        live,
+        "frozen probe == live probe"
+    );
+    let here = obj.placement().position(cell);
+    let mut sums = [0.0; 2];
+    frozen.delta_move_batch(cell, &[(x, y, l), here], &mut sums);
+    assert_eq!(sums[0].to_bits(), live, "batch fold == delta_move");
+    assert_eq!(
+        sums[1].to_bits(),
+        frozen.delta_move(cell, here.0, here.1, here.2).to_bits(),
+        "batch fold of cell {} at its own position",
+        cell.index()
+    );
     let mut rects = Vec::new();
-    obj.exclusion_rects(cell, |x0, x1, y0, y1| {
+    frozen.exclusion_rects(cell, |x0, x1, y0, y1| {
         rects.push([x0.to_bits(), x1.to_bits(), y0.to_bits(), y1.to_bits()]);
     });
-    (live, frozen, batch, rects)
+    (live, rects)
 }
 
 /// The optimal-region rectangles of `cell` by direct scan, as sorted
@@ -255,7 +255,7 @@ fn drive(
                 "stale probe of cell {} after op {i}",
                 w.index()
             );
-            let mut rects = live.3;
+            let mut rects = live.1;
             rects.sort_unstable();
             assert_eq!(
                 rects,
@@ -379,6 +379,43 @@ proptest! {
                 prop_assert_eq!(&g1, &g);
                 prop_assert_eq!(&w1, &w);
                 prop_assert_eq!(t1, t);
+            }
+        }
+    }
+
+    /// With the thermal term active, the probe fold adds Eq. 3's terms
+    /// in `delta_move_rescan`'s order, so on synthetic designs (no cell
+    /// puts two pins on one net, where the rescan double-counts) the two
+    /// agree bit for bit — between commits, as the caches move.
+    #[test]
+    fn thermal_probe_matches_rescan_bitwise(
+        cells in 60usize..400,
+        seed in 0u64..1000,
+    ) {
+        let netlist = random_design(cells, seed, false);
+        let config = PlacerConfig::new(4)
+            .with_alpha_ilv(1.0e-5)
+            .with_alpha_temp(1.0e-4);
+        let chip = Chip::from_netlist(&netlist, &config).expect("chip fits");
+        let model = ObjectiveModel::new(&netlist, &chip, &config).expect("model builds");
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7E57);
+        let mut placement = Placement::centered(netlist.num_cells(), &chip);
+        for i in 0..netlist.num_cells() {
+            let (x, y, l) = random_target(&chip, &mut rng);
+            placement.set(CellId::new(i), x, y, l);
+        }
+        let mut obj = IncrementalObjective::new(&netlist, &model, placement);
+        for i in 0..750 {
+            let c = CellId::new(rng.random_range(0..netlist.num_cells()));
+            let (x, y, l) = random_target(&chip, &mut rng);
+            let probe = obj.delta_move(c, x, y, l);
+            prop_assert_eq!(
+                probe.to_bits(),
+                obj.delta_move_rescan(c, x, y, l).to_bits(),
+                "cell {} probe {}", c.index(), i
+            );
+            if i % 10 == 0 {
+                prop_assert_eq!(obj.apply_move(c, x, y, l).to_bits(), probe.to_bits());
             }
         }
     }

@@ -26,7 +26,16 @@
 //! `91c23d0deb32ba2f` → `c71075bc67d2a904` with objective 5.462374e-1 →
 //! 5.475507e-1 (+0.24%), ILV 8837 → 8846 — noise-scale both ways. The
 //! thermal case read `a16e1be21c8a1f7c` (1k, α_TEMP = 1e-4) when it was
-//! added.)
+//! added, and `74793f4ccb7b1c37` on the 3k design. It moved once when
+//! the probe fold began pricing Eq. 3's thermal term, so thermal moves
+//! price through it and thermal shifting runs the row-parallel engine
+//! (DESIGN.md §11, §17): 1k `a16e1be21c8a1f7c` → `7b8a205f6e1e0f42` with
+//! objective 9.734572e-2 → 9.730764e-2 (−0.04%), 3k `74793f4ccb7b1c37` →
+//! `444ea2b68a314424` with objective 3.796973e-1 → 3.806983e-1
+//! (+0.26%). Over `tvp synth` seeds 1–8 at 4 layers the median change
+//! was +0.34% (1k, better on 3 of 8) and −0.35% (3k, better on 5 of 8)
+//! in objective, +0.41% and −0.18% in T_max. The WL+ILV digests did not
+//! move.)
 
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_core::{Placer, PlacerConfig};
@@ -95,9 +104,9 @@ fn reference_10k_placement_hash_is_identical_across_threads() {
     assert_thread_invariant(10_000, reference_config());
 }
 
-/// Thermal mode runs the serial move and row loops and sums the thermal
-/// term into the objective, so its cross-thread equality is pinned
-/// separately.
+/// Thermal mode runs the serial move loop, prices the thermal term in
+/// every probe and sums it into the objective, so its cross-thread
+/// equality is pinned separately.
 #[test]
 fn thermal_1k_placement_hash_is_identical_across_threads() {
     assert_thread_invariant(1000, reference_config().with_alpha_temp(1.0e-4));

@@ -347,16 +347,13 @@ pub fn map_chunks<R: Send>(
 /// Ordered-deterministic chunked sum: chunk partials (computed in
 /// parallel) folded left-to-right on the caller. Bitwise identical for
 /// every thread count, 1 included.
-pub fn sum_chunks(len: usize, min_chunk: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
-    map_chunks(len, min_chunk, f).into_iter().sum()
-}
-
-/// [`sum_chunks`] with a serial cutoff: below `serial_below` elements the
-/// same chunk partials are computed inline on the caller (same chunk
-/// boundaries, same fold order — bitwise identical to the parallel
-/// result), skipping pool dispatch entirely. Use at sites where the
-/// work per element is too small to amortize scheduling on small inputs.
-pub fn sum_chunks_cutoff(
+///
+/// Below `serial_below` elements the same chunk partials are computed
+/// inline on the caller (same chunk boundaries, same fold order, so the
+/// same bits), skipping pool dispatch entirely: a cutoff for sites whose
+/// work per element is too small to amortize scheduling on small inputs
+/// (0 = no cutoff). The other chunked primitives take it too.
+pub fn sum_chunks(
     len: usize,
     min_chunk: usize,
     serial_below: usize,
@@ -365,20 +362,23 @@ pub fn sum_chunks_cutoff(
     if len < serial_below {
         return chunk_ranges(len, min_chunk).into_iter().map(f).sum();
     }
-    sum_chunks(len, min_chunk, f)
+    map_chunks(len, min_chunk, f).into_iter().sum()
 }
 
 /// Maps each chunk of `data` through `f(chunk_start, chunk)` with
 /// exclusive access to its chunk, returning per-chunk results **in chunk
 /// order**. The mutable analogue of [`map_chunks`], for fused kernels
 /// that both write an output slice and reduce a scalar in one pass.
+/// Below `serial_below` elements the chunks run inline (see
+/// [`sum_chunks`]).
 pub fn map_chunks_mut<T: Send, R: Send>(
     data: &mut [T],
     min_chunk: usize,
+    serial_below: usize,
     f: impl Fn(usize, &mut [T]) -> R + Sync,
 ) -> Vec<R> {
     let ranges = chunk_ranges(data.len(), min_chunk);
-    if ranges.len() <= 1 || threads() <= 1 {
+    if data.len() < serial_below || ranges.len() <= 1 || threads() <= 1 {
         let mut out = Vec::with_capacity(ranges.len());
         let mut rest = &mut *data;
         let mut consumed = 0;
@@ -409,41 +409,18 @@ pub fn map_chunks_mut<T: Send, R: Send>(
         .collect()
 }
 
-/// [`map_chunks_mut`] with a serial cutoff (see [`sum_chunks_cutoff`]):
-/// below `serial_below` elements the same chunks run inline in chunk
-/// order, bitwise identical to the dispatched result.
-pub fn map_chunks_mut_cutoff<T: Send, R: Send>(
-    data: &mut [T],
-    min_chunk: usize,
-    serial_below: usize,
-    f: impl Fn(usize, &mut [T]) -> R + Sync,
-) -> Vec<R> {
-    if data.len() < serial_below {
-        let ranges = chunk_ranges(data.len(), min_chunk);
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut consumed = 0;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.end - consumed);
-            consumed = range.end;
-            rest = tail;
-            out.push(f(range.start, chunk));
-        }
-        return out;
-    }
-    map_chunks_mut(data, min_chunk, f)
-}
-
 /// Applies `f(chunk_start, chunk)` to disjoint mutable chunks of `data`
 /// in parallel. `chunk_start` is the offset of `chunk` within `data`, so
-/// `f` can index sibling read-only slices at matching positions.
+/// `f` can index sibling read-only slices at matching positions. Below
+/// `serial_below` elements the chunks run inline (see [`sum_chunks`]).
 pub fn for_each_chunk_mut<T: Send>(
     data: &mut [T],
     min_chunk: usize,
+    serial_below: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     let ranges = chunk_ranges(data.len(), min_chunk);
-    if ranges.len() <= 1 || threads() <= 1 {
+    if data.len() < serial_below || ranges.len() <= 1 || threads() <= 1 {
         for range in ranges {
             f(range.start, &mut data[range]);
         }
@@ -463,25 +440,6 @@ pub fn for_each_chunk_mut<T: Send>(
     run_tasks(tasks);
 }
 
-/// [`for_each_chunk_mut`] with a serial cutoff (see
-/// [`sum_chunks_cutoff`]): below `serial_below` elements the same chunks
-/// run inline in chunk order — elementwise kernels are bitwise identical
-/// either way — without touching the pool.
-pub fn for_each_chunk_mut_cutoff<T: Send>(
-    data: &mut [T],
-    min_chunk: usize,
-    serial_below: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    if data.len() < serial_below {
-        for range in chunk_ranges(data.len(), min_chunk) {
-            f(range.start, &mut data[range]);
-        }
-        return;
-    }
-    for_each_chunk_mut(data, min_chunk, f);
-}
-
 /// Like [`for_each_chunk_mut`], but advances two equal-length slices in
 /// lockstep — one fused pass for updates like CG's `x += αp; r -= αAp`.
 ///
@@ -492,11 +450,12 @@ pub fn for_each_chunk_mut2<T: Send, U: Send>(
     a: &mut [T],
     b: &mut [U],
     min_chunk: usize,
+    serial_below: usize,
     f: impl Fn(usize, &mut [T], &mut [U]) + Sync,
 ) {
     assert_eq!(a.len(), b.len(), "paired chunk slices must match");
     let ranges = chunk_ranges(a.len(), min_chunk);
-    if ranges.len() <= 1 || threads() <= 1 {
+    if a.len() < serial_below || ranges.len() <= 1 || threads() <= 1 {
         for range in ranges {
             let start = range.start;
             f(start, &mut a[range.clone()], &mut b[range]);
@@ -517,32 +476,6 @@ pub fn for_each_chunk_mut2<T: Send, U: Send>(
         tasks.push(Box::new(move || f(start, chunk_a, chunk_b)));
     }
     run_tasks(tasks);
-}
-
-/// [`for_each_chunk_mut2`] with a serial cutoff (see
-/// [`sum_chunks_cutoff`]): below `serial_below` elements the same chunks
-/// run inline in chunk order, bitwise identical to the dispatched
-/// result.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn for_each_chunk_mut2_cutoff<T: Send, U: Send>(
-    a: &mut [T],
-    b: &mut [U],
-    min_chunk: usize,
-    serial_below: usize,
-    f: impl Fn(usize, &mut [T], &mut [U]) + Sync,
-) {
-    assert_eq!(a.len(), b.len(), "paired chunk slices must match");
-    if a.len() < serial_below {
-        for range in chunk_ranges(a.len(), min_chunk) {
-            let start = range.start;
-            f(start, &mut a[range.clone()], &mut b[range]);
-        }
-        return;
-    }
-    for_each_chunk_mut2(a, b, min_chunk, f);
 }
 
 /// Maps `f` over `0..n` with one task per index, returning results in
@@ -604,11 +537,11 @@ mod tests {
             .map(|i| ((i as f64) * 0.731).sin() * 1e10 + 1e-7)
             .collect();
         let reference = with_threads(2, || {
-            sum_chunks(data.len(), 256, |r| data[r].iter().sum::<f64>())
+            sum_chunks(data.len(), 256, 0, |r| data[r].iter().sum::<f64>())
         });
         for n in [3, 4, 8] {
             let got = with_threads(n, || {
-                sum_chunks(data.len(), 256, |r| data[r].iter().sum::<f64>())
+                sum_chunks(data.len(), 256, 0, |r| data[r].iter().sum::<f64>())
             });
             assert_eq!(got.to_bits(), reference.to_bits(), "threads={n}");
         }
@@ -640,7 +573,7 @@ mod tests {
     fn for_each_chunk_mut_sees_every_element_once() {
         let mut data = vec![0u64; 10_000];
         with_threads(4, || {
-            for_each_chunk_mut(&mut data, 128, |start, chunk| {
+            for_each_chunk_mut(&mut data, 128, 0, |start, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     *v += (start + i) as u64;
                 }
@@ -656,10 +589,10 @@ mod tests {
             .collect();
         // Sum: serial-cutoff path vs dispatched path, same chunking.
         let dispatched = with_threads(4, || {
-            sum_chunks(data.len(), 256, |r| data[r].iter().sum::<f64>())
+            sum_chunks(data.len(), 256, 0, |r| data[r].iter().sum::<f64>())
         });
         let cut = with_threads(4, || {
-            sum_chunks_cutoff(data.len(), 256, usize::MAX, |r| data[r].iter().sum::<f64>())
+            sum_chunks(data.len(), 256, usize::MAX, |r| data[r].iter().sum::<f64>())
         });
         assert_eq!(cut.to_bits(), dispatched.to_bits());
 
@@ -668,7 +601,7 @@ mod tests {
         let fill = |serial_below: usize| {
             let mut out = vec![0u64; 5_000];
             with_threads(4, || {
-                for_each_chunk_mut_cutoff(&mut out, 128, serial_below, |start, chunk| {
+                for_each_chunk_mut(&mut out, 128, serial_below, |start, chunk| {
                     for (i, v) in chunk.iter_mut().enumerate() {
                         *v = (start + i) as u64 * 3 + 1;
                     }
@@ -682,7 +615,7 @@ mod tests {
             let mut a = vec![0u64; 5_000];
             let mut b = vec![0u64; 5_000];
             with_threads(4, || {
-                for_each_chunk_mut2_cutoff(&mut a, &mut b, 128, serial_below, |start, xs, ys| {
+                for_each_chunk_mut2(&mut a, &mut b, 128, serial_below, |start, xs, ys| {
                     for (i, (x, y)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
                         *x = (start + i) as u64;
                         *y = (start + i) as u64 * 2;
@@ -698,7 +631,7 @@ mod tests {
     fn map_chunks_mut_writes_chunks_and_returns_partials_in_order() {
         let mut data = vec![0.0f64; 20_000];
         let partials = with_threads(4, || {
-            map_chunks_mut(&mut data, 512, |start, chunk| {
+            map_chunks_mut(&mut data, 512, 0, |start, chunk| {
                 let mut sum = 0.0;
                 for (i, v) in chunk.iter_mut().enumerate() {
                     *v = (start + i) as f64;
@@ -714,7 +647,7 @@ mod tests {
         // Serial cutoff path produces identical partials.
         let mut again = vec![0.0f64; 20_000];
         let cut = with_threads(4, || {
-            map_chunks_mut_cutoff(&mut again, 512, usize::MAX, |start, chunk| {
+            map_chunks_mut(&mut again, 512, usize::MAX, |start, chunk| {
                 let mut sum = 0.0;
                 for (i, v) in chunk.iter_mut().enumerate() {
                     *v = (start + i) as f64;

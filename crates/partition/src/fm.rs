@@ -199,7 +199,7 @@ fn fm_pass(
     ws.count.resize(hg.num_nets(), [0u32; 2]);
     {
         let sides: &[u8] = sides;
-        parallel::for_each_chunk_mut_cutoff(
+        parallel::for_each_chunk_mut(
             &mut ws.count,
             INIT_MIN_CHUNK,
             INIT_SERIAL_BELOW,
@@ -217,7 +217,7 @@ fn fm_pass(
     {
         let sides: &[u8] = sides;
         let count: &[[u32; 2]] = &ws.count;
-        parallel::for_each_chunk_mut_cutoff(
+        parallel::for_each_chunk_mut(
             &mut ws.gain,
             INIT_MIN_CHUNK,
             INIT_SERIAL_BELOW,

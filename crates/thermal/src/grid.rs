@@ -349,7 +349,7 @@ impl StencilOp {
     /// Applies the conductance matrix: `out = G · t`. Matrix-free and
     /// embarrassingly parallel; bitwise identical for any thread count.
     pub(crate) fn apply(&self, t: &[f64], out: &mut [f64]) {
-        parallel::for_each_chunk_mut_cutoff(out, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, chunk| {
+        parallel::for_each_chunk_mut(out, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, chunk| {
             self.apply_rows(t, start, chunk);
         });
     }
@@ -357,7 +357,7 @@ impl StencilOp {
     /// Fused `ap = G·p` and `p·ap` in one sweep. Chunk partials fold in
     /// chunk order — identical for every thread count.
     pub(crate) fn apply_dot(&self, p: &[f64], ap: &mut [f64]) -> f64 {
-        parallel::map_chunks_mut_cutoff(ap, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, chunk| {
+        parallel::map_chunks_mut(ap, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, chunk| {
             self.apply_rows(p, start, chunk)
         })
         .into_iter()
@@ -366,7 +366,7 @@ impl StencilOp {
 
     /// Fused residual: `r = b − G·x`, elementwise.
     pub(crate) fn residual(&self, x: &[f64], b: &[f64], r: &mut [f64]) {
-        parallel::for_each_chunk_mut_cutoff(r, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, chunk| {
+        parallel::for_each_chunk_mut(r, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, chunk| {
             self.apply_rows(x, start, chunk);
             for (off, ri) in chunk.iter_mut().enumerate() {
                 *ri = b[start + off] - *ri;
@@ -742,32 +742,23 @@ impl ThermalSimulator {
                 });
             }
             let alpha = rz / pap;
-            parallel::for_each_chunk_mut_cutoff(
-                &mut x,
-                ELEM_MIN_CHUNK,
-                SERIAL_CUTOFF,
-                |start, xs| {
-                    for (off, xi) in xs.iter_mut().enumerate() {
-                        *xi += alpha * p[start + off];
-                    }
-                },
-            );
+            parallel::for_each_chunk_mut(&mut x, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, xs| {
+                for (off, xi) in xs.iter_mut().enumerate() {
+                    *xi += alpha * p[start + off];
+                }
+            });
             // Fused residual update + ‖r‖² in one sweep.
-            let r_sq: f64 = parallel::map_chunks_mut_cutoff(
-                &mut r,
-                ELEM_MIN_CHUNK,
-                SERIAL_CUTOFF,
-                |start, rs| {
+            let r_sq: f64 =
+                parallel::map_chunks_mut(&mut r, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, rs| {
                     let mut sq = 0.0;
                     for (off, ri) in rs.iter_mut().enumerate() {
                         *ri -= alpha * ap[start + off];
                         sq += *ri * *ri;
                     }
                     sq
-                },
-            )
-            .into_iter()
-            .sum();
+                })
+                .into_iter()
+                .sum();
             r_norm = r_sq.sqrt();
             if r_norm <= tol {
                 return Ok((x, stats_at(iteration, r_norm / b_norm, initial_residual)));
@@ -781,16 +772,11 @@ impl ThermalSimulator {
             }
             let beta = rz_new / rz;
             rz = rz_new;
-            parallel::for_each_chunk_mut_cutoff(
-                &mut p,
-                ELEM_MIN_CHUNK,
-                SERIAL_CUTOFF,
-                |start, ps| {
-                    for (off, pi) in ps.iter_mut().enumerate() {
-                        *pi = z[start + off] + beta * *pi;
-                    }
-                },
-            );
+            parallel::for_each_chunk_mut(&mut p, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, ps| {
+                for (off, pi) in ps.iter_mut().enumerate() {
+                    *pi = z[start + off] + beta * *pi;
+                }
+            });
         }
         let residual = r_norm / b_norm;
         // Accept near-converged solutions; flag genuine divergence.
@@ -948,7 +934,7 @@ impl ThermalSolveContext {
             }
             None => {
                 let inv_diag = &self.inv_diag;
-                parallel::map_chunks_mut_cutoff(z, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, zs| {
+                parallel::map_chunks_mut(z, ELEM_MIN_CHUNK, SERIAL_CUTOFF, |start, zs| {
                     let mut partial = 0.0;
                     for (off, zi) in zs.iter_mut().enumerate() {
                         let i = start + off;
@@ -968,7 +954,7 @@ impl ThermalSolveContext {
 /// chunk boundaries a pure function of the length — bitwise identical
 /// for every thread count, and dispatched serially below the cutoff.
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    parallel::sum_chunks_cutoff(a.len(), DOT_MIN_CHUNK, SERIAL_CUTOFF, |range| {
+    parallel::sum_chunks(a.len(), DOT_MIN_CHUNK, SERIAL_CUTOFF, |range| {
         a[range.clone()]
             .iter()
             .zip(&b[range])

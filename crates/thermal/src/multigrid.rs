@@ -267,7 +267,7 @@ fn prolong(coarse_op: &StencilOp, fine: &StencilOp, xc: &[f64], xf: &mut [f64]) 
     let (nxc, nyc) = (coarse_op.nx, coarse_op.ny);
     let plane_f = nxf * nyf;
     let plane_c = nxc * nyc;
-    parallel::for_each_chunk_mut_cutoff(
+    parallel::for_each_chunk_mut(
         xf,
         crate::grid::ELEM_MIN_CHUNK,
         crate::grid::SERIAL_CUTOFF,
