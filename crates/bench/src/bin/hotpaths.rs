@@ -180,7 +180,11 @@ struct Options {
     stages: Option<Vec<Stage>>,
 }
 
-fn parse_options() -> Options {
+/// Parses the command line (without the program name). `--smoke` lowers
+/// the default repeat count to 2; an explicit `--repeats` wins in either
+/// order.
+fn parse_options(args: impl IntoIterator<Item = String>) -> Options {
+    let mut repeats = None;
     let mut opts = Options {
         out: "BENCH_hotpaths.json".to_string(),
         cells: vec![1_000],
@@ -190,7 +194,7 @@ fn parse_options() -> Options {
         scale_one: None,
         stages: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
@@ -209,7 +213,9 @@ fn parse_options() -> Options {
                     .collect();
                 assert!(!opts.cells.is_empty(), "--cells expects at least one count");
             }
-            "--repeats" => opts.repeats = value().parse().expect("--repeats expects an integer"),
+            "--repeats" => {
+                repeats = Some(value().parse().expect("--repeats expects an integer"));
+            }
             "--grid" => opts.grid = value().parse().expect("--grid expects an integer"),
             "--smoke" => opts.smoke = true,
             "--stages" => opts.stages = Some(parse_stages(&value())),
@@ -229,9 +235,7 @@ fn parse_options() -> Options {
             other => panic!("unknown flag `{other}` (try --help)"),
         }
     }
-    if opts.smoke {
-        opts.repeats = opts.repeats.min(2);
-    }
+    opts.repeats = repeats.unwrap_or(if opts.smoke { 2 } else { opts.repeats });
     opts
 }
 
@@ -576,7 +580,7 @@ fn stage_list(stages: &[Stage]) -> String {
 }
 
 fn main() {
-    let opts = parse_options();
+    let opts = parse_options(std::env::args().skip(1));
     if let Some(cells) = opts.scale_one {
         heap::enable();
         println!("{}", scale_row(cells, opts.stages.as_deref()).to_json());
@@ -741,34 +745,35 @@ fn main() {
             .map(|&(c, x, y, l)| pricing_obj.delta_move_rescan(c, x, y, l))
             .sum()
     });
-    let swap_ns = time_ns_per_op(opts.repeats, pairs.len(), || {
-        pairs
-            .iter()
-            .map(|&(a, b)| pricing_obj.delta_swap(a, b))
-            .sum()
-    });
     // The mutate-and-revert swap this engine replaces did four commits
     // (two to stage the swap, two to undo it), each costing at least one
     // full-rescan probe; four rescan probes per pair is therefore a
     // conservative lower bound on the replaced kernel.
-    let swap_rescan_ns = time_ns_per_op(opts.repeats, pairs.len(), || {
-        pairs
-            .iter()
-            .map(|&(a, b)| {
-                let (bx, by, bl) = pricing_obj.placement().position(b);
-                let (ax, ay, al) = pricing_obj.placement().position(a);
-                pricing_obj.delta_move_rescan(a, bx, by, bl)
-                    + pricing_obj.delta_move_rescan(b, ax, ay, al)
-                    + pricing_obj.delta_move_rescan(a, ax, ay, al)
-                    + pricing_obj.delta_move_rescan(b, bx, by, bl)
-            })
-            .sum()
-    });
+    let swap_row = |obj: &IncrementalObjective<'_>, pairs: &[(CellId, CellId)]| {
+        let ns = time_ns_per_op(opts.repeats, pairs.len(), || {
+            pairs.iter().map(|&(a, b)| obj.delta_swap(a, b)).sum()
+        });
+        let rescan_ns = time_ns_per_op(opts.repeats, pairs.len(), || {
+            pairs
+                .iter()
+                .map(|&(a, b)| {
+                    let (bx, by, bl) = obj.placement().position(b);
+                    let (ax, ay, al) = obj.placement().position(a);
+                    obj.delta_move_rescan(a, bx, by, bl)
+                        + obj.delta_move_rescan(b, ax, ay, al)
+                        + obj.delta_move_rescan(a, ax, ay, al)
+                        + obj.delta_move_rescan(b, bx, by, bl)
+                })
+                .sum()
+        });
+        (ns, rescan_ns)
+    };
+    let (swap_ns, swap_rescan_ns) = swap_row(&pricing_obj, &pairs);
     // The coarse moves' own-target batch fold: the same probes in blocks
     // of `BATCH_TARGETS`, each block priced for its first probe's cell in
     // one fold of that cell's probe entries, beside the scalar
     // `delta_move` loop over the same (cell, target) pairs.
-    let frozen = &pricing_obj.frozen_pricer();
+    let pricer = &pricing_obj;
     let targets: Vec<(f64, f64, u16)> = probes.iter().map(|&(_, x, y, l)| (x, y, l)).collect();
     let blocks = || {
         probes
@@ -781,7 +786,7 @@ fn main() {
         let mut acc = 0.0;
         for (cell, targets) in blocks() {
             let out = &mut sums[..targets.len()];
-            frozen.delta_move_batch(cell, targets, out);
+            pricer.delta_move_batch(cell, targets, out);
             acc += out.iter().sum::<f64>();
         }
         acc
@@ -791,7 +796,7 @@ fn main() {
             .flat_map(|(cell, targets)| {
                 targets
                     .iter()
-                    .map(move |&(x, y, l)| frozen.delta_move(cell, x, y, l))
+                    .map(move |&(x, y, l)| pricer.delta_move(cell, x, y, l))
             })
             .sum()
     });
@@ -853,6 +858,21 @@ fn main() {
             .map(|&(c, x, y, l)| thermal_obj.delta_move_rescan(c, x, y, l))
             .sum()
     });
+    // Swaps whose cells share a net, where the second leg folds over the
+    // first (the random `pairs` above almost never share one): each pair
+    // is a random cell and a random pin cell of one of its nets. Timed
+    // after the thermal row, so every earlier row runs as before it.
+    let shared_pairs: Vec<(CellId, CellId)> = (0..num_probes / 5)
+        .filter_map(|_| {
+            let a = CellId::new(rng.random_range(0..netlist.num_cells()));
+            let nets: Vec<_> = netlist.cell_nets(a).collect();
+            let e = *nets.get(rng.random_range(0..nets.len().max(1)))?;
+            let pins = netlist.net_pins(e);
+            let b = netlist.pin(pins[rng.random_range(0..pins.len())]).cell();
+            (b != a).then_some((a, b))
+        })
+        .collect();
+    let (shared_swap_ns, shared_swap_rescan_ns) = swap_row(&pricing_obj, &shared_pairs);
     // A pricing row beside its rescan denominator and the speedup over it.
     let pricing = |ns_per_op: f64, rescan_ns_per_op: f64| {
         obj(vec![
@@ -1002,7 +1022,9 @@ fn main() {
          pattern through the pre-delta-engine full-bbox-rescan kernel (delta_move_rescan) \
          as a live speedup denominator; the swap denominator is four rescan probes per \
          pair, a lower bound on the mutate-and-revert swap (four commits) it replaces; \
-         batch_move_pricing is ns per target of FrozenPricer::delta_move_batch over \
+         shared_swap_pricing times delta_swap on pairs of cells that share a net (a cell \
+         and a pin cell of one of its nets), beside the same four-rescan denominator; \
+         batch_move_pricing is ns per target of IncrementalObjective::delta_move_batch over \
          move_pricing's probes in blocks of targets_per_cell (each block priced for its \
          first probe's cell), its denominator the scalar delta_move loop over the same \
          (cell, target) pairs; thermal_move_pricing times delta_move on move_pricing's \
@@ -1112,6 +1134,10 @@ fn main() {
                 ("move_pricing", pricing(move_ns, move_rescan_ns)),
                 ("swap_pricing", pricing(swap_ns, swap_rescan_ns)),
                 (
+                    "shared_swap_pricing",
+                    pricing(shared_swap_ns, shared_swap_rescan_ns),
+                ),
+                (
                     "batch_move_pricing",
                     obj(vec![
                         ("targets_per_cell", uint(BATCH_TARGETS)),
@@ -1179,4 +1205,26 @@ fn main() {
     std::fs::write(&opts.out, &json).expect("write report");
     print!("{json}");
     eprintln!("hotpaths: wrote {}", opts.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Options {
+        parse_options(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn explicit_repeats_win_over_smoke_in_either_order() {
+        assert_eq!(parse(&["--smoke", "--repeats", "10"]).repeats, 10);
+        assert_eq!(parse(&["--repeats", "10", "--smoke"]).repeats, 10);
+    }
+
+    #[test]
+    fn smoke_lowers_only_the_default_repeats() {
+        assert_eq!(parse(&[]).repeats, 5);
+        assert_eq!(parse(&["--smoke"]).repeats, 2);
+        assert_eq!(parse(&["--repeats", "3"]).repeats, 3);
+    }
 }

@@ -96,12 +96,16 @@ pub fn place(args: &PlaceArgs) -> Result<String, String> {
             for diag in report.errors() {
                 let _ = writeln!(msg, "  {diag}");
             }
-            let _ = write!(
-                msg,
-                "run `tvp validate {} --repair` to normalize what can be fixed, \
-                 or pass --no-preflight to skip this check",
-                args.aux
-            );
+            // The strict load refuses what `repair` fixes, so name it
+            // only for an error it acts on.
+            if tvp_core::repair_fixes_an_error(&report) {
+                let _ = write!(
+                    msg,
+                    "run `tvp validate {} --repair` to normalize what can be fixed, or ",
+                    args.aux
+                );
+            }
+            msg.push_str("pass --no-preflight to skip this check");
             return Err(msg);
         }
     }
@@ -269,8 +273,10 @@ pub fn validate(args: &ValidateArgs) -> Result<String, String> {
     if !args.repair {
         return if report.is_placeable() {
             Ok(out)
-        } else {
+        } else if tvp_core::repair_fixes_an_error(&report) {
             Err(out + "validation failed (re-run with --repair to normalize what can be fixed)")
+        } else {
+            Err(out + "validation failed")
         };
     }
 
@@ -818,6 +824,76 @@ mod tests {
         // Without the knob the same design validates silently.
         let out = run(&argv(&format!("validate {dir}/z.aux"))).unwrap();
         assert!(!out.contains("thermal-objective-inert"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Saves a small design built by `build` (which gets a permissive
+    /// builder and returns the design's positions) to a fresh directory.
+    fn save_design(
+        dir: &str,
+        build: impl FnOnce(&mut tvp_netlist::NetlistBuilder) -> Vec<(f64, f64, u32)>,
+    ) {
+        let mut b = tvp_netlist::NetlistBuilder::new().permissive();
+        let positions = build(&mut b);
+        let mut design = tvp_bookshelf::Design::from_netlist("h", b.build().unwrap());
+        design.positions = positions;
+        let options = tvp_bookshelf::DesignBuilderOptions {
+            meters_per_unit: 1.0e-6,
+        };
+        design.save(dir, options).unwrap();
+    }
+
+    /// A chain of `cells` movable cells; returns their ids.
+    fn chain(b: &mut tvp_netlist::NetlistBuilder, cells: usize) -> Vec<tvp_netlist::CellId> {
+        use tvp_netlist::PinDirection;
+        let ids: Vec<_> = (0..cells)
+            .map(|i| b.add_cell(format!("c{i}"), 1e-6, 1e-6))
+            .collect();
+        for (i, pair) in ids.windows(2).enumerate() {
+            let n = b.add_net(format!("n{i}"));
+            b.connect(n, pair[0], PinDirection::Output).unwrap();
+            b.connect(n, pair[1], PinDirection::Input).unwrap();
+        }
+        ids
+    }
+
+    #[test]
+    fn preflight_names_repair_only_when_it_would_fix_an_error() {
+        use tvp_netlist::{CellKind, PinDirection};
+        // A NaN terminal coordinate: an error `repair` cannot fix.
+        let dir = tmp("nan_terminal");
+        save_design(&dir, |b| {
+            let ids = chain(b, 6);
+            let pad = b.add_cell_with_kind("pad", 1e-6, 1e-6, CellKind::Fixed);
+            let n = b.add_net("io");
+            b.connect(n, pad, PinDirection::Output).unwrap();
+            b.connect(n, ids[0], PinDirection::Input).unwrap();
+            let mut positions = vec![(0.0, 0.0, 0); ids.len()];
+            positions.push((f64::NAN, 0.0, 0));
+            positions
+        });
+        let err = run(&argv(&format!("place {dir}/h.aux --layers 2"))).unwrap_err();
+        assert!(err.contains("[non-finite-fixed-position]"), "{err}");
+        assert!(err.contains("--no-preflight"), "{err}");
+        assert!(!err.contains("--repair"), "{err}");
+        let err = run(&argv(&format!("validate {dir}/h.aux"))).unwrap_err();
+        assert!(err.contains("validation failed"), "{err}");
+        assert!(!err.contains("--repair"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A zero-area cell: `repair` clamps it, so validate names it.
+        let dir = tmp("zero_area");
+        save_design(&dir, |b| {
+            let ids = chain(b, 6);
+            let flat = b.add_cell("flat", 1e-6, 0.0);
+            let n = b.add_net("f");
+            b.connect(n, flat, PinDirection::Output).unwrap();
+            b.connect(n, ids[0], PinDirection::Input).unwrap();
+            Vec::new()
+        });
+        let err = run(&argv(&format!("validate {dir}/h.aux"))).unwrap_err();
+        assert!(err.contains("[zero-area-cell]"), "{err}");
+        assert!(err.contains("re-run with --repair"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

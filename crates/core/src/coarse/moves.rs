@@ -19,12 +19,13 @@
 //! In WL+ILV mode both passes run as a **batched propose/commit engine**
 //! (DESIGN.md §16): cells are taken in the same shuffled order as the
 //! serial engine, in fixed-size batches. Phase A prices every cell's
-//! candidates in parallel against a [`FrozenPricer`] snapshot of the
-//! objective; phase B walks the winning proposals serially in batch
-//! order, re-prices each against the live objective, and commits only
-//! still-improving actions. Proposals depend only on the snapshot and
-//! the chunking is a pure function of the batch length, so results are
-//! bitwise identical at every thread count. With the thermal term
+//! candidates in parallel through a shared borrow of the objective (a
+//! snapshot no commit can touch while the phase holds it); phase B walks
+//! the winning proposals serially in batch order, re-prices each against
+//! the live objective, and commits only still-improving actions.
+//! Proposals depend only on the snapshot and the chunking is a pure
+//! function of the batch length, so results are bitwise identical at
+//! every thread count. With the thermal term
 //! (`alpha_temp > 0`) the passes run the serial loop, which prices every
 //! candidate against the live objective through the same probe fold:
 //! batched thermal moves commit fewer improving actions per pass and
@@ -34,13 +35,15 @@
 //! partner's entries build once and serve every batch until a commit
 //! touches one of its nets (DESIGN.md §11, §17). A cell's own targets —
 //! every move and every swap's first leg — are priced in one batch fold
-//! ([`FrozenPricer::delta_move_batch`]) that reads the cell's entries
-//! once, bitwise equal to one `delta_move` per target (DESIGN.md §16);
-//! each swap's reverse leg (the partner onto the cell's position) and
-//! the optimal-region rectangles read the memo per probe.
+//! ([`IncrementalObjective::delta_move_batch`]) that reads the cell's
+//! entries once, bitwise equal to one `delta_move` per target (DESIGN.md
+//! §16); each swap's reverse leg (the partner onto the cell's position)
+//! and the optimal-region rectangles read the memo per probe. Phase B
+//! and the serial loop price a swap exactly, as a pair of folds
+//! ([`IncrementalObjective::delta_swap`], DESIGN.md §11).
 
 use super::mesh::DensityMesh;
-use crate::objective::{FrozenPricer, IncrementalObjective};
+use crate::objective::IncrementalObjective;
 use crate::Chip;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -140,9 +143,8 @@ pub fn global_pass(
     let mut opt = OptScratch::default();
     let mut candidates = Vec::new();
     for cell in order {
-        let Some((ox, oy)) = optimal_point(&mut opt, |push| {
-            objective.frozen_pricer().exclusion_rects(cell, push)
-        }) else {
+        let Some((ox, oy)) = optimal_point(&mut opt, |push| objective.exclusion_rects(cell, push))
+        else {
             continue;
         };
         let (ox, oy) = chip.clamp(ox, oy);
@@ -284,10 +286,11 @@ fn batched_pass(
     let mut partners = PartnerIndex::build(mesh, netlist, order);
     let mut dirty_bins: Vec<usize> = Vec::new();
     for batch in order.chunks(BATCH) {
-        // Phase A: parallel snapshot pricing. The snapshot, the mesh, and
-        // the chunk boundaries are all independent of the thread count, so
-        // the proposal list is too.
-        let frozen = objective.frozen_pricer();
+        // Phase A: parallel snapshot pricing through a shared borrow of
+        // the objective. The snapshot, the mesh, and the chunk boundaries
+        // are all independent of the thread count, so the proposal list
+        // is too.
+        let snapshot: &IncrementalObjective<'_> = objective;
         let mesh_ref: &DensityMesh = mesh;
         let partners_ref: &PartnerIndex = &partners;
         let proposals: Vec<Vec<Proposal>> =
@@ -303,9 +306,9 @@ fn batched_pass(
                             // The medians read the same probe entries
                             // `propose_best` is about to price with — one
                             // build serves both, and no net is rescanned.
-                            let Some((ox, oy)) =
-                                optimal_point(&mut opt, |push| frozen.exclusion_rects(cell, push))
-                            else {
+                            let Some((ox, oy)) = optimal_point(&mut opt, |push| {
+                                snapshot.exclusion_rects(cell, push)
+                            }) else {
                                 continue;
                             };
                             let (ox, oy) = chip.clamp(ox, oy);
@@ -313,7 +316,7 @@ fn batched_pass(
                         }
                     }
                     if let Some(p) = propose_best(
-                        &frozen,
+                        snapshot,
                         mesh_ref,
                         partners_ref,
                         netlist,
@@ -394,14 +397,14 @@ struct ProposeScratch {
 ///
 /// Every move target and every swap's first leg moves the same cell, so
 /// they are priced in one batch fold of the cell's probe entries
-/// ([`FrozenPricer::delta_move_batch`], bitwise equal to one
+/// ([`IncrementalObjective::delta_move_batch`], bitwise equal to one
 /// `delta_move` each); only each swap's second leg (the partner onto
 /// the cell's position) is a probe of its own. The first-best selection
 /// then walks the candidates in their original order, a bin's move
 /// before its swap.
 #[allow(clippy::too_many_arguments)]
 fn propose_best(
-    frozen: &FrozenPricer<'_>,
+    snapshot: &IncrementalObjective<'_>,
     mesh: &DensityMesh,
     partners: &PartnerIndex,
     netlist: &Netlist,
@@ -412,7 +415,7 @@ fn propose_best(
 ) -> Option<Proposal> {
     let current_bin = mesh.bin_of(cell);
     let cell_area = netlist.cell(cell).area();
-    let placement = frozen.placement();
+    let placement = snapshot.placement();
     scratch.actions.clear();
     scratch.targets.clear();
     for &b in candidates {
@@ -439,14 +442,14 @@ fn propose_best(
         }
     }
     scratch.deltas.resize(scratch.targets.len(), 0.0);
-    frozen.delta_move_batch(cell, &scratch.targets, &mut scratch.deltas);
+    snapshot.delta_move_batch(cell, &scratch.targets, &mut scratch.deltas);
 
     let pa = placement.position(cell);
     let mut best: Option<(f64, ProposedAction)> = None;
     for (&action, &first) in scratch.actions.iter().zip(&scratch.deltas) {
         let mut delta = first;
         if let ProposedAction::Swap { with } = action {
-            delta += frozen.delta_move(with, pa.0, pa.1, pa.2);
+            delta += snapshot.delta_move(with, pa.0, pa.1, pa.2);
         }
         if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
             best = Some((delta, action));
@@ -476,7 +479,7 @@ struct OptScratch {
 /// The lateral objective-minimum point for a cell: the center of its
 /// optimal region (median interval of its nets' bounding boxes with the
 /// cell excluded). `exclusion_rects` feeds those boxes from
-/// [`FrozenPricer::exclusion_rects`], which reads the probe memo.
+/// [`IncrementalObjective::exclusion_rects`], which reads the probe memo.
 /// `None` for unconnected cells.
 fn optimal_point(
     s: &mut OptScratch,
@@ -681,7 +684,7 @@ mod tests {
             .unwrap();
         let mut scratch = OptScratch::default();
         let (ox, oy) = optimal_point(&mut scratch, |push| {
-            objective.frozen_pricer().exclusion_rects(connected, push)
+            objective.exclusion_rects(connected, push)
         })
         .unwrap();
         assert!(ox >= 0.0 && ox <= chip.width);
@@ -705,11 +708,8 @@ mod tests {
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let objective = IncrementalObjective::new(&netlist, &model, Placement::centered(2, &chip));
         let mut scratch = OptScratch::default();
-        assert!(optimal_point(&mut scratch, |push| {
-            objective
-                .frozen_pricer()
-                .exclusion_rects(CellId::new(0), push)
-        })
+        assert!(optimal_point(&mut scratch, |push| objective
+            .exclusion_rects(CellId::new(0), push))
         .is_none());
     }
 }

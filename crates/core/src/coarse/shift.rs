@@ -18,11 +18,12 @@
 //!
 //! * **Phase A** plans every row of the sweep concurrently through
 //!   [`tvp_parallel::map_chunks`] — boundary solve, cell remaps, and
-//!   Eq. 17 move pricing against a [`FrozenPricer`] snapshot, with no
-//!   shared mutable state (each chunk owns its scratch buffers). A
-//!   cell's full and half remap are priced in one batch fold of probe
-//!   entries built on the spot: the sweep's commit drops every memo
-//!   slot a fill would create, so planning fills none. Chunk
+//!   Eq. 17 move pricing through a shared borrow of the objective (the
+//!   sweep-start snapshot), with no shared mutable state (each chunk
+//!   owns its scratch buffers). A cell's full and half remap are priced
+//!   in one batch fold of probe entries built on the spot: the sweep's
+//!   commit drops every memo slot a fill would create, so planning fills
+//!   none. Chunk
 //!   boundaries are a pure function of the row count, never the thread
 //!   count, so the planned move list is bitwise identical for any
 //!   `--threads` setting.
@@ -33,13 +34,13 @@
 //!
 //! The x sweep, y sweep, and z pass each see the previous one's commits
 //! (a fresh snapshot per sweep). Both objective modes run this one
-//! engine: with the thermal term active the frozen pricer folds Eq. 3's
-//! α_TEMP term too, and the sweep commit refreshes the power and
+//! engine: with the thermal term active the borrowed objective folds
+//! Eq. 3's α_TEMP term too, and the sweep commit refreshes the power and
 //! resistance caches the moves reach.
 
 use super::mesh::DensityMesh;
 use crate::engine::StageRun;
-use crate::objective::{CellMove, FrozenPricer, IncrementalObjective};
+use crate::objective::{CellMove, IncrementalObjective};
 use crate::observer::PassEvent;
 use crate::{Chip, ShiftStrategy};
 use tvp_netlist::{CellId, Netlist};
@@ -182,7 +183,7 @@ fn sweep(
     // commits — the frozen plan is remap-exact, and only the Eq. 17
     // pricing sees a (deliberately) frozen objective.
     let mesh_ref: &DensityMesh = mesh;
-    let frozen = objective.frozen_pricer();
+    let snapshot: &IncrementalObjective<'_> = objective;
     let plans: Vec<ChunkPlan> = parallel::map_chunks(num_rows, PLAN_MIN_ROWS, |range| {
         let mut scratch = RowScratch::default();
         let mut plan = ChunkPlan::default();
@@ -197,7 +198,7 @@ fn sweep(
                     .extend((0..row_len).map(|j| mesh_ref.index(fixed, j, k))),
             }
             let delta = plan_row(
-                &frozen,
+                snapshot,
                 mesh_ref,
                 chip,
                 &mut scratch,
@@ -422,19 +423,19 @@ fn solve_row_bounds(
 }
 
 /// Maps one cell's coordinate through its bin's solved span and picks the
-/// Eq. 17 β between a full and a half move, whichever the frozen pricer
-/// says degrades the objective less. Both candidates price in one fold of
+/// Eq. 17 β between a full and a half move, whichever the sweep-start
+/// snapshot says degrades the objective less. Both candidates price in one fold of
 /// probe entries built on the spot: this sweep's commit drops them, so
 /// memoizing would be waste. Returns `None` for sub-epsilon remaps.
 #[inline]
 fn remap_cell(
-    frozen: &FrozenPricer<'_>,
+    snapshot: &IncrementalObjective<'_>,
     chip: &Chip,
     axis: Axis,
     cell: CellId,
     (old_lo, new_lo, scale): (f64, f64, f64),
 ) -> Option<CellMove> {
-    let (x, y, layer) = frozen.placement().position(cell);
+    let (x, y, layer) = snapshot.placement().position(cell);
     let coord = match axis {
         Axis::X => x,
         Axis::Y => y,
@@ -455,18 +456,18 @@ fn remap_cell(
     };
     let [full, half] = [candidate(mapped), candidate(0.5 * mapped + 0.5 * coord)];
     let mut deltas = [0.0; 2];
-    frozen.delta_move_batch_unmemoized(cell, &[full, half], &mut deltas);
+    snapshot.delta_move_batch_unmemoized(cell, &[full, half], &mut deltas);
     let (x, y, layer) = if deltas[1] < deltas[0] { half } else { full };
     Some(CellMove { cell, x, y, layer })
 }
 
-/// Phase-A planner for one row: boundary solve plus frozen-priced cell
+/// Phase-A planner for one row: boundary solve plus snapshot-priced cell
 /// remaps, appended to `moves` in bin-then-cell order. Never touches the
 /// mesh or the objective, so any number of rows plan concurrently.
 /// Returns the row's largest relative boundary displacement.
 #[allow(clippy::too_many_arguments)]
 fn plan_row(
-    frozen: &FrozenPricer<'_>,
+    snapshot: &IncrementalObjective<'_>,
     mesh: &DensityMesh,
     chip: &Chip,
     scratch: &mut RowScratch,
@@ -494,7 +495,9 @@ fn plan_row(
         moves.extend(
             mesh.bin_cells(scratch.bins[idx])
                 .iter()
-                .filter_map(|&cell| remap_cell(frozen, chip, axis, cell, (old_lo, new_lo, scale))),
+                .filter_map(|&cell| {
+                    remap_cell(snapshot, chip, axis, cell, (old_lo, new_lo, scale))
+                }),
         );
     }
     max_delta

@@ -119,8 +119,8 @@ pub struct PlacerConfig {
     pub shift_strategy: ShiftStrategy,
     /// Worker threads for the parallel hot paths (thermal solve,
     /// objective rebuild, recursive bisection). `0` means "all hardware
-    /// threads". `1` runs the legacy serial code paths; any value
-    /// produces the same placement (DESIGN.md, threading model).
+    /// threads". `1` runs the same chunks inline on the calling thread;
+    /// any value produces the same placement (DESIGN.md §8).
     pub threads: usize,
     /// CG preconditioner for the evaluation thermal solver. Geometric
     /// multigrid by default (near-grid-independent iteration counts);

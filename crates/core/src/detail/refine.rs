@@ -163,30 +163,28 @@ fn refine_round(
 
                 // 2. Adjacent swap with the right neighbor: re-pack the
                 //    pair inside its combined span, order exchanged. The
-                //    pair is priced read-only in one staged sequence and
-                //    committed only when it improves — no apply-and-revert
-                //    round trip perturbing `total`.
+                //    pair is priced read-only (`delta_pair`) and committed
+                //    only when it improves — no apply-and-revert round
+                //    trip perturbing `total`.
                 if i + 1 < rows.cells[layer][row].len() {
                     let (ax, aw, a) = rows.cells[layer][row][i];
                     let (_bx, bw, b) = rows.cells[layer][row][i + 1];
                     let span_left = ax;
                     // After the swap: b sits at span_left, a right after b.
-                    let pair = [
-                        CellMove {
-                            cell: b,
-                            x: span_left + bw / 2.0,
-                            y: yc,
-                            layer: layer as u16,
-                        },
-                        CellMove {
-                            cell: a,
-                            x: span_left + bw + aw / 2.0,
-                            y: yc,
-                            layer: layer as u16,
-                        },
-                    ];
-                    if objective.delta_moves(&pair) < -EPS {
-                        objective.apply_moves(&pair);
+                    let first = CellMove {
+                        cell: b,
+                        x: span_left + bw / 2.0,
+                        y: yc,
+                        layer: layer as u16,
+                    };
+                    let second = CellMove {
+                        cell: a,
+                        x: span_left + bw + aw / 2.0,
+                        y: yc,
+                        layer: layer as u16,
+                    };
+                    if objective.delta_pair(first, second) < -EPS {
+                        objective.apply_pair(first, second);
                         rows.cells[layer][row][i] = (span_left, bw, b);
                         rows.cells[layer][row][i + 1] = (span_left + bw, aw, a);
                         stats.swaps += 1;

@@ -76,6 +76,6 @@ pub use placer::{
 };
 pub use tvp_thermal::{LayerSpec, PrecondKind, Preconditioner};
 pub use validate::{
-    repair, validate, Diagnostic, DiagnosticCode, RepairAction, Severity, ValidateOptions,
-    ValidationReport,
+    repair, repair_fixes_an_error, validate, Diagnostic, DiagnosticCode, RepairAction, Severity,
+    ValidateOptions, ValidationReport,
 };

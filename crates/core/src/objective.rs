@@ -21,40 +21,50 @@
 //! an extreme retreats inward, which is amortized away over random move
 //! sequences.
 //!
-//! Pricing (`delta_move`, `delta_moves`, `delta_swap`) never touches the
-//! committed caches. Every single move, in both objective modes, prices
-//! through one fold, [`FrozenPricer::delta_move`]: per net of the moved
+//! Pricing (`delta_move`, `delta_pair`, `delta_swap`) never touches the
+//! committed caches. Every move, in both objective modes, prices through
+//! one fold ([`IncrementalObjective::delta_move`]): per net of the moved
 //! cell, the WL + α_ILV·ILV change read from the probe memo (below) and,
 //! with the thermal term, that net's power change at its driver's cached
 //! resistance; last, the cell's own change in `R·P`. `apply_move` patches
-//! the caches in place and returns that fold's delta bit for bit. A swap
-//! or move pair whose cells share no net prices and commits as single
-//! moves; only legs that share a net take the staged path, which stages
-//! candidate geometry, power and resistance in a reusable epoch-stamped
-//! `DeltaWorkspace` and replays the staging at commit. A sweep commit
-//! (`apply_sweep`) prices nothing: it rescans the nets its moves touch
-//! and refolds the total, like a partial `rebuild`.
+//! the caches in place and returns that fold's delta bit for bit.
+//!
+//! A pair of moves (a swap, or refinement's adjacent swap) prices as two
+//! such folds. The first leg is the first cell's ordinary fold. The
+//! second leg folds the other cell's entries, except that an entry on a
+//! net the first cell also touches is built on the spot: its exclusion
+//! extremes and old geometry come from a scan of the net with the first
+//! cell at its target. With the thermal term, the second leg reads the
+//! first cell's resistance at its target, and the second cell's starting
+//! power carries the first leg's power changes on the nets it drives,
+//! added in the first cell's net order. Each leg is thus exactly what
+//! committing it after the other adds to `total`, so `apply_pair`
+//! commits each leg in place and adds the two priced legs, in order. A
+//! sweep commit (`apply_sweep`) prices nothing: it rescans the nets its
+//! moves touch and refolds the total, like a partial `rebuild`.
 //!
 //! # Probe memo
 //!
 //! Single-cell pricing and the coarse optimal-region rectangles both read
 //! one *probe entry* per (cell, distinct net): the net's extremes with
 //! the cell's own pins excluded, plus the committed geometry. The
-//! evaluator owns one lazily built memo of these entries, shared
-//! read-only (it is `Sync`) by every [`FrozenPricer`] worker. Each entry
-//! is a pure function of the committed state of its net, so the memo's
-//! only invalidation rule is exact: a commit that moves a cell drops the
-//! entries of every net that cell touches, and `rebuild` drops them all.
-//! Nothing outside this module creates or drops entries. The thermal
-//! fold reads powers and resistances from the live caches, never from
-//! an entry, so the rule holds in both modes.
+//! evaluator owns one lazily built memo of these entries. It is `Sync`,
+//! so every worker of a parallel phase prices through one shared borrow
+//! of the evaluator, and an entry one worker builds serves them all.
+//! Each entry is a pure function of the committed state of its net, so
+//! the memo's only invalidation rule is exact: a commit that moves a
+//! cell drops the entries of every net that cell touches, and `rebuild`
+//! drops them all. Nothing outside this module creates or drops entries.
+//! The thermal fold reads powers and resistances from the live caches,
+//! never from an entry, and a pair's on-the-spot entries are never
+//! memoized, so the rule holds in both modes.
 //!
 //! Cells connecting to one net through several pins are handled by a
 //! per-cell *distinct-net* CSR shared by pricing and commit: each incident
 //! net is priced exactly once, with all of the cell's pins on it updated
 //! together (the per-pin view double-counted such nets).
 //!
-//! Determinism contract (DESIGN.md §8, §11): every staged value is the
+//! Determinism contract (DESIGN.md §8, §11): every cached value is the
 //! result of the same pin-order scan or exact O(1) extreme update, so the
 //! incremental caches stay bitwise equal to a from-scratch `rebuild`
 //! (`IncrementalObjective::rebuild`) after arbitrary move/swap sequences,
@@ -63,7 +73,6 @@
 use crate::power::PowerModel;
 use crate::{Chip, Placement, PlacerConfig};
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use tvp_netlist::{CellId, NetId, Netlist, PinId};
@@ -300,8 +309,8 @@ fn upd_max<T: PartialOrd + Copy>(m: &mut T, n: &mut u32, ov: T, nv: T) -> bool {
     }
 }
 
-/// Full pin scan of one net, with up to a handful of staged position
-/// overrides (later entries win). Pin order matches the builder's net pin
+/// Full pin scan of one net, with up to a handful of position overrides
+/// (later entries win). Pin order matches the builder's net pin
 /// order, so the result is deterministic and thread-count independent.
 fn scan_net_extremes(
     netlist: &Netlist,
@@ -476,6 +485,60 @@ impl Default for ProbeEntry {
     }
 }
 
+impl ProbeEntry {
+    /// The entry of distinct-net CSR slot `idx` with the net's geometry
+    /// `old` and its exclusion extremes still empty.
+    fn new(netlist: &Netlist, cell_nets: &DistinctNets, idx: usize, old: NetGeometry) -> Self {
+        let (_, plo, phi) = cell_nets.entries[idx];
+        let mut entry = Self {
+            own_pins: phi - plo,
+            old_wl: old.wirelength(),
+            old_ilv: old.ilv,
+            ..Self::default()
+        };
+        if entry.own_pins == 1 {
+            let pin = netlist.pin(cell_nets.pins[plo as usize]);
+            entry.dx = pin.offset_x();
+            entry.dy = pin.offset_y();
+        }
+        entry
+    }
+
+    /// Folds every pin of net `e` that is not on `cell` into the
+    /// exclusion extremes, at the placement's positions with `moved`
+    /// overriding (as in [`scan_net_extremes`]).
+    fn exclude(
+        mut self,
+        netlist: &Netlist,
+        placement: &Placement,
+        e: NetId,
+        cell: CellId,
+        moved: &[(CellId, (f64, f64, u16))],
+    ) -> Self {
+        for &p in netlist.net_pins(e) {
+            let pin = netlist.pin(p);
+            let c = pin.cell();
+            if c == cell {
+                continue;
+            }
+            let mut pos = placement.position(c);
+            for &(m, mp) in moved {
+                if m == c {
+                    pos = mp;
+                }
+            }
+            let (px, py) = (pos.0 + pin.offset_x(), pos.1 + pin.offset_y());
+            self.rx0 = self.rx0.min(px);
+            self.rx1 = self.rx1.max(px);
+            self.ry0 = self.ry0.min(py);
+            self.ry1 = self.ry1.max(py);
+            self.rl0 = self.rl0.min(pos.2);
+            self.rl1 = self.rl1.max(pos.2);
+        }
+        self
+    }
+}
+
 /// Builds the probe entry for distinct-net CSR slot `idx` of `cell`: the
 /// net's extremes with the cell's own pins excluded, plus the committed
 /// geometry — the one constructor of probe-memo entries.
@@ -488,19 +551,8 @@ fn probe_entry_at(
     cell: CellId,
 ) -> ProbeEntry {
     let (e, plo, phi) = cell_nets.entries[idx];
-    let mut entry = ProbeEntry {
-        own_pins: phi - plo,
-        ..ProbeEntry::default()
-    };
-    if entry.own_pins == 1 {
-        let pin = netlist.pin(cell_nets.pins[plo as usize]);
-        entry.dx = pin.offset_x();
-        entry.dy = pin.offset_y();
-    }
     let ext = &nets[e.index()];
-    let og = ext.geometry();
-    entry.old_wl = og.wirelength();
-    entry.old_ilv = og.ilv;
+    let mut entry = ProbeEntry::new(netlist, cell_nets, idx, ext.geometry());
 
     // Fast path: the committed extremes carry multiplicity counts, so
     // when every extreme keeps at least one non-cell holder the
@@ -538,22 +590,7 @@ fn probe_entry_at(
             return entry;
         }
     }
-    for &p in netlist.net_pins(e) {
-        let pin = netlist.pin(p);
-        let c = pin.cell();
-        if c == cell {
-            continue;
-        }
-        let (cx, cy, cl) = placement.position(c);
-        let (px, py) = (cx + pin.offset_x(), cy + pin.offset_y());
-        entry.rx0 = entry.rx0.min(px);
-        entry.rx1 = entry.rx1.max(px);
-        entry.ry0 = entry.ry0.min(py);
-        entry.ry1 = entry.ry1.max(py);
-        entry.rl0 = entry.rl0.min(cl);
-        entry.rl1 = entry.rl1.max(cl);
-    }
-    entry
+    entry.exclude(netlist, placement, e, cell, &[])
 }
 
 /// Prices one net of a probe: folds the cell's pins at `pos` into the
@@ -605,10 +642,23 @@ struct ThermalTerm<'b> {
     model: &'b ObjectiveModel,
     cell_power: &'b [f64],
     cell_resistance: &'b [f64],
+    /// Set only while a pair's second leg folds.
+    first_leg: Option<FirstLeg>,
+}
+
+/// What a pair's second leg reads of its first (module docs): the first
+/// cell's resistance at its target, and the second cell's power with the
+/// first leg's power changes on the nets it drives added.
+#[derive(Clone, Copy)]
+struct FirstLeg {
+    cell: CellId,
+    resistance: f64,
+    second_power: f64,
 }
 
 impl<'b> ThermalTerm<'b> {
     /// The term over the given caches, or `None` in WL+ILV mode.
+    #[inline]
     fn of(
         netlist: &'b Netlist,
         model: &'b ObjectiveModel,
@@ -620,29 +670,41 @@ impl<'b> ThermalTerm<'b> {
             model,
             cell_power,
             cell_resistance,
+            first_leg: None,
         })
     }
 
-    /// Net `e`'s power change `ΔP = s_wl·ΔWL + s_ilv·ΔILV` when `cell`
-    /// moves: added to `delta` at its driver's cached resistance, or, when
-    /// `cell` drives `e`, to the cell's own power change `own_dp`.
+    /// Net `e`'s power change `ΔP = s_wl·ΔWL + s_ilv·ΔILV` for its
+    /// geometry change `(dwl, dilv)`.
+    #[inline]
+    fn power_change(&self, e: NetId, (dwl, dilv): (f64, f64)) -> f64 {
+        self.model.power.s_wl(e) * dwl + self.model.power.s_ilv(e) * dilv
+    }
+
+    /// Net `e`'s power change when `cell` moves: added to `delta` at its
+    /// driver's resistance, or, when `cell` drives `e`, to the cell's own
+    /// power change `own_dp`.
     #[inline]
     fn add_net(
         &self,
         cell: CellId,
         e: NetId,
-        (dwl, dilv): (f64, f64),
+        change: (f64, f64),
         delta: &mut f64,
         own_dp: &mut f64,
     ) {
         let Some(d) = self.netlist.net_driver_cell(e) else {
             return;
         };
-        let dp = self.model.power.s_wl(e) * dwl + self.model.power.s_ilv(e) * dilv;
+        let dp = self.power_change(e, change);
         if d == cell {
             *own_dp += dp;
         } else {
-            *delta += self.model.alpha_temp * self.cell_resistance[d.index()] * dp;
+            let r = match self.first_leg {
+                Some(leg) if leg.cell == d => leg.resistance,
+                _ => self.cell_resistance[d.index()],
+            };
+            *delta += self.model.alpha_temp * r * dp;
         }
     }
 
@@ -651,7 +713,11 @@ impl<'b> ThermalTerm<'b> {
     #[inline]
     fn own(&self, cell: CellId, pos: (f64, f64, u16), own_dp: f64) -> f64 {
         let c = cell.index();
-        let (old_p, old_r) = (self.cell_power[c], self.cell_resistance[c]);
+        let old_p = match self.first_leg {
+            Some(leg) => leg.second_power,
+            None => self.cell_power[c],
+        };
+        let old_r = self.cell_resistance[c];
         let new_r = resistance_at(self.model, self.netlist, cell, pos);
         self.model.alpha_temp * (new_r * (old_p + own_dp) - old_r * old_p)
     }
@@ -726,294 +792,7 @@ impl ProbeMemo {
     }
 }
 
-/// Read-only pricing view over the committed caches and the evaluator's
-/// probe memo: the one single-move pricer, for the live objective and for
-/// data-parallel proposal generation alike (DESIGN.md §11, §16). It is
-/// `Sync` — unlike [`IncrementalObjective`], whose interior-mutable
-/// staging workspace pins it to one thread — so every worker of a
-/// parallel phase prices through the same view, and a probe entry built
-/// by one worker serves all of them. With the thermal term active it
-/// also folds Eq. 3's α_TEMP term from the cached powers and resistances.
-///
-/// Deltas are priced against the state at snapshot time. Callers that
-/// interleave commits must re-validate each proposal against the live
-/// objective before applying — the coarse batched passes do exactly
-/// that.
-pub struct FrozenPricer<'b> {
-    netlist: &'b Netlist,
-    placement: &'b Placement,
-    nets: &'b [NetExtremes],
-    cell_nets: &'b DistinctNets,
-    probes: &'b ProbeMemo,
-    alpha_ilv: f64,
-    thermal: Option<ThermalTerm<'b>>,
-}
-
-impl FrozenPricer<'_> {
-    /// The snapshot's placement.
-    #[inline]
-    pub fn placement(&self) -> &Placement {
-        self.placement
-    }
-
-    /// The memoized probe entry of distinct-net CSR slot `idx` of `cell`,
-    /// built on first use. Racing builders compute the same pure function
-    /// of the committed state, so whichever wins, every reader sees
-    /// bitwise-identical values at any thread count.
-    #[inline]
-    fn entry(&self, idx: usize, cell: CellId) -> &ProbeEntry {
-        self.probes
-            .get_or_build(idx, self.cell_nets.entries[idx].0, || {
-                probe_entry_at(
-                    self.netlist,
-                    self.placement,
-                    self.nets,
-                    self.cell_nets,
-                    idx,
-                    cell,
-                )
-            })
-    }
-
-    /// Objective change if `cell` moved to `(x, y, layer)`, priced
-    /// against the snapshot: one fold of the cell's memoized probe
-    /// entries in CSR order, in `delta_move_rescan`'s order of additions.
-    /// Per net it adds the WL + α_ILV·ILV change and, with the thermal
-    /// term, that net's power change at its driver's cached resistance
-    /// (or, when the cell drives the net, to the cell's own power
-    /// change); last comes the cell's own `α_TEMP·(R'·P' − R·P)`. The
-    /// live [`IncrementalObjective::delta_move`] is this fold, and
-    /// [`IncrementalObjective::apply_move`] returns it bit for bit.
-    #[inline]
-    pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        self.fold_one(cell, (x, y, layer), |idx| self.entry(idx, cell))
-    }
-
-    /// Objective change of moving `cell` to each of `targets`, written to
-    /// `out[t]` (`out` is as long as `targets`), each bit for bit
-    /// `delta_move(cell, targets[t])`. In WL+ILV mode the cell's memoized
-    /// probe entries are read once and folded net-major: each target's
-    /// sum starts at `0.0` and adds one term per net in CSR order, the
-    /// additions `delta_move` makes.
-    pub fn delta_move_batch(&self, cell: CellId, targets: &[(f64, f64, u16)], out: &mut [f64]) {
-        self.fold_targets(cell, targets, out, |idx| *self.entry(idx, cell));
-    }
-
-    /// [`delta_move_batch`](Self::delta_move_batch) with each entry built
-    /// on the spot instead of read from the memo, which it leaves
-    /// unfilled: for callers whose own commit drops those entries before
-    /// anyone could reuse them (row shifting, DESIGN.md §17).
-    pub(crate) fn delta_move_batch_unmemoized(
-        &self,
-        cell: CellId,
-        targets: &[(f64, f64, u16)],
-        out: &mut [f64],
-    ) {
-        self.fold_targets(cell, targets, out, |idx| {
-            probe_entry_at(
-                self.netlist,
-                self.placement,
-                self.nets,
-                self.cell_nets,
-                idx,
-                cell,
-            )
-        });
-    }
-
-    /// [`delta_move`](Self::delta_move)'s fold over the entries `entry`
-    /// hands out. The objective mode is tested once, outside the net loop.
-    #[inline(always)]
-    fn fold_one<E: Borrow<ProbeEntry>>(
-        &self,
-        cell: CellId,
-        pos: (f64, f64, u16),
-        entry: impl Fn(usize) -> E,
-    ) -> f64 {
-        let (netlist, cell_nets, alpha_ilv) = (self.netlist, self.cell_nets, self.alpha_ilv);
-        let mut delta = 0.0;
-        let Some(thermal) = &self.thermal else {
-            for idx in cell_nets.range(cell) {
-                let (dwl, dilv) =
-                    probe_entry_change(netlist, cell_nets, idx, entry(idx).borrow(), pos);
-                delta += dwl + alpha_ilv * dilv;
-            }
-            return delta;
-        };
-        let mut own_dp = 0.0;
-        for idx in cell_nets.range(cell) {
-            let change = probe_entry_change(netlist, cell_nets, idx, entry(idx).borrow(), pos);
-            delta += change.0 + alpha_ilv * change.1;
-            let e = cell_nets.entries[idx].0;
-            thermal.add_net(cell, e, change, &mut delta, &mut own_dp);
-        }
-        delta + thermal.own(cell, pos, own_dp)
-    }
-
-    /// The fold behind the batch pricers. WL+ILV mode folds net-major,
-    /// one `entry(idx)` per distinct net of `cell` added to every
-    /// target's sum, and tests the mode outside the net and target loops.
-    /// Thermal batches are short (row shifting's two β candidates), so
-    /// each of their targets folds on its own.
-    #[inline]
-    fn fold_targets(
-        &self,
-        cell: CellId,
-        targets: &[(f64, f64, u16)],
-        out: &mut [f64],
-        entry: impl Fn(usize) -> ProbeEntry,
-    ) {
-        debug_assert_eq!(out.len(), targets.len());
-        if self.thermal.is_some() {
-            for (sum, &pos) in out.iter_mut().zip(targets) {
-                *sum = self.fold_one(cell, pos, &entry);
-            }
-            return;
-        }
-        out.fill(0.0);
-        if targets.is_empty() {
-            return;
-        }
-        let (netlist, cell_nets, alpha_ilv) = (self.netlist, self.cell_nets, self.alpha_ilv);
-        for idx in cell_nets.range(cell) {
-            let entry = entry(idx);
-            for (sum, &pos) in out.iter_mut().zip(targets) {
-                let (dwl, dilv) = probe_entry_change(netlist, cell_nets, idx, &entry, pos);
-                *sum += dwl + alpha_ilv * dilv;
-            }
-        }
-    }
-
-    /// Calls `push` with one `(x0, x1, y0, y1)` exclusion rectangle per
-    /// own pin of `cell` whose net has at least one pin on another cell —
-    /// the inputs of the coarse global pass's optimal-region medians.
-    /// Read from the very probe entries [`delta_move`](Self::delta_move)
-    /// prices with, so each rectangle is bitwise identical to a fresh
-    /// exclude-the-cell scan of the net, at O(own pins) in the common
-    /// case instead of O(net degree).
-    pub fn exclusion_rects(&self, cell: CellId, mut push: impl FnMut(f64, f64, f64, f64)) {
-        for idx in self.cell_nets.range(cell) {
-            let entry = self.entry(idx, cell);
-            // A finite min marks a non-empty exclusion (positions are
-            // always finite); nets the cell fully owns are skipped, like
-            // the historical scan's `others > 0` test. Multi-pin nets
-            // repeat their rectangle once per own pin, matching the
-            // per-pin iteration order's multiset of median inputs.
-            if entry.rx0 != f64::INFINITY {
-                for _ in 0..entry.own_pins {
-                    push(entry.rx0, entry.rx1, entry.ry0, entry.ry1);
-                }
-            }
-        }
-    }
-}
-
-/// Reusable staging area for move sequences whose legs share a net:
-/// epoch-stamped sparse overlays over the committed net/power/resistance
-/// caches, plus the staged move list and per-move deltas. Pricing writes
-/// only here; commit patches the staged values into the caches. The
-/// sweep commit borrows its stamps to visit each touched net and driver
-/// once. Begin-of-sequence cost is O(1) — clearing
-/// is done by bumping the epoch, not by touching the stamp arrays. The
-/// power/resistance overlays are sized like the evaluator's thermal
-/// caches: empty in WL+ILV mode.
-#[derive(Clone, Debug, Default)]
-struct DeltaWorkspace {
-    epoch: u32,
-    net_stamp: Vec<u32>,
-    net_slot: Vec<u32>,
-    net_entries: Vec<(NetId, NetExtremes)>,
-    power_stamp: Vec<u32>,
-    power_val: Vec<f64>,
-    power_cells: Vec<CellId>,
-    res_stamp: Vec<u32>,
-    res_val: Vec<f64>,
-    res_cells: Vec<CellId>,
-    /// Staged moves, in pricing order (later entries win on conflict).
-    moves: Vec<(CellId, (f64, f64, u16))>,
-    /// Per-move deltas; commit folds them into `total` one by one, so a
-    /// committed swap perturbs `total` exactly like two sequential moves.
-    deltas: Vec<f64>,
-}
-
-impl DeltaWorkspace {
-    fn sized(nets: usize, cells: usize) -> Self {
-        Self {
-            epoch: 0,
-            net_stamp: vec![0; nets],
-            net_slot: vec![0; nets],
-            power_stamp: vec![0; cells],
-            power_val: vec![0.0; cells],
-            res_stamp: vec![0; cells],
-            res_val: vec![0.0; cells],
-            ..Self::default()
-        }
-    }
-
-    /// Starts a fresh pricing sequence (invalidates all staged state).
-    fn begin(&mut self) {
-        if self.epoch == u32::MAX {
-            // Epoch wrap: reset the stamps once every 2^32 - 1 probes.
-            self.net_stamp.fill(0);
-            self.power_stamp.fill(0);
-            self.res_stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.net_entries.clear();
-        self.power_cells.clear();
-        self.res_cells.clear();
-        self.moves.clear();
-        self.deltas.clear();
-    }
-
-    /// A cell's staged power, else its committed one.
-    #[inline]
-    fn power(&self, cell: CellId, committed: &[f64]) -> f64 {
-        let c = cell.index();
-        if self.power_stamp[c] == self.epoch {
-            self.power_val[c]
-        } else {
-            committed[c]
-        }
-    }
-
-    /// A cell's staged resistance, else its committed one.
-    #[inline]
-    fn resistance(&self, cell: CellId, committed: &[f64]) -> f64 {
-        let c = cell.index();
-        if self.res_stamp[c] == self.epoch {
-            self.res_val[c]
-        } else {
-            committed[c]
-        }
-    }
-
-    /// Stages a cell's power.
-    #[inline]
-    fn stage_power(&mut self, cell: CellId, p: f64) {
-        let c = cell.index();
-        if self.power_stamp[c] != self.epoch {
-            self.power_stamp[c] = self.epoch;
-            self.power_cells.push(cell);
-        }
-        self.power_val[c] = p;
-    }
-
-    /// The position a cell would have after the staged moves.
-    #[inline]
-    fn effective_position(&self, placement: &Placement, cell: CellId) -> (f64, f64, u16) {
-        let mut pos = placement.position(cell);
-        for &(m, p) in &self.moves {
-            if m == cell {
-                pos = p;
-            }
-        }
-        pos
-    }
-}
-
-/// One candidate relocation, for the multi-move pricing/commit APIs.
+/// One candidate relocation, for the pair and sweep pricing/commit APIs.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CellMove {
     /// The cell to move.
@@ -1029,7 +808,10 @@ pub struct CellMove {
 /// Objective evaluator maintaining per-net extreme caches, per-cell power
 /// and resistance caches (only while the thermal term is active), and the
 /// scalar total. Probes price in O(1) amortized per incident net and
-/// never touch the committed caches.
+/// never touch the committed caches. The evaluator is `Sync`: a parallel
+/// phase prices through one shared borrow of it, and its proposals are
+/// re-priced against the live evaluator once the borrow ends and commits
+/// resume (DESIGN.md §16, §17).
 #[derive(Clone, Debug)]
 pub struct IncrementalObjective<'a> {
     netlist: &'a Netlist,
@@ -1041,7 +823,6 @@ pub struct IncrementalObjective<'a> {
     total: f64,
     cell_nets: DistinctNets,
     probes: ProbeMemo,
-    pricing: RefCell<DeltaWorkspace>,
 }
 
 impl<'a> IncrementalObjective<'a> {
@@ -1059,7 +840,6 @@ impl<'a> IncrementalObjective<'a> {
             total: 0.0,
             probes: ProbeMemo::empty(cell_nets.entries.len(), netlist.num_nets()),
             cell_nets,
-            pricing: RefCell::new(DeltaWorkspace::sized(netlist.num_nets(), thermal_cells)),
         };
         this.rebuild();
         this
@@ -1201,137 +981,35 @@ impl<'a> IncrementalObjective<'a> {
             .unwrap_or(0.0)
     }
 
-    /// Rescan of net `e` with all staged moves plus the candidate applied.
-    fn rescan(
-        &self,
-        ws: &DeltaWorkspace,
-        e: NetId,
-        cell: CellId,
-        pos: (f64, f64, u16),
-    ) -> NetExtremes {
-        let mut ext = NetExtremes::default();
-        for &p in self.netlist.net_pins(e) {
-            let pin = self.netlist.pin(p);
-            let c = pin.cell();
-            let cpos = if c == cell {
-                pos
-            } else {
-                ws.effective_position(&self.placement, c)
-            };
-            ext.accumulate(cpos.0 + pin.offset_x(), cpos.1 + pin.offset_y(), cpos.2);
-        }
-        ext
+    /// The thermal term over the committed caches, or `None` in WL+ILV
+    /// mode.
+    #[inline]
+    fn thermal(&self) -> Option<ThermalTerm<'_>> {
+        ThermalTerm::of(
+            self.netlist,
+            self.model,
+            &self.cell_power,
+            &self.cell_resistance,
+        )
     }
 
-    /// Prices one move on top of the staged state with the probe fold's
-    /// arithmetic — each power changes linearly, at its staged-or-cached
-    /// resistance — and stages its geometry, power and resistance
-    /// effects. The returned delta is exactly what committing this move
-    /// (after the already-staged ones) adds to `total`.
-    fn price_move(&self, ws: &mut DeltaWorkspace, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        let (alpha_ilv, alpha_temp) = (self.model.alpha_ilv, self.model.alpha_temp);
-        let old_pos = ws.effective_position(&self.placement, cell);
-        let (mut delta, mut own_dp) = (0.0, 0.0);
-        for idx in self.cell_nets.range(cell) {
-            let (e, plo, phi) = self.cell_nets.entries[idx];
-            let ei = e.index();
-            let staged = ws.net_stamp[ei] == ws.epoch;
-            let old_ext = if staged {
-                ws.net_entries[ws.net_slot[ei] as usize].1
-            } else {
-                self.nets[ei]
-            };
-            let mut new_ext = old_ext;
-            let updated = self.cell_nets.pins[plo as usize..phi as usize]
-                .iter()
-                .all(|&p| {
-                    let pin = self.netlist.pin(p);
-                    let (dx, dy) = (pin.offset_x(), pin.offset_y());
-                    new_ext.update(
-                        (old_pos.0 + dx, old_pos.1 + dy, old_pos.2),
-                        (pos.0 + dx, pos.1 + dy, pos.2),
-                    )
-                });
-            if !updated {
-                new_ext = self.rescan(ws, e, cell, pos);
-            }
-            let (og, ng) = (old_ext.geometry(), new_ext.geometry());
-            let (dwl, dilv) = (ng.wirelength() - og.wirelength(), ng.ilv - og.ilv);
-            delta += dwl + alpha_ilv * dilv;
-            if staged {
-                ws.net_entries[ws.net_slot[ei] as usize].1 = new_ext;
-            } else {
-                ws.net_stamp[ei] = ws.epoch;
-                ws.net_slot[ei] = ws.net_entries.len() as u32;
-                ws.net_entries.push((e, new_ext));
-            }
-            let Some(d) = self.netlist.net_driver_cell(e).filter(|_| alpha_temp > 0.0) else {
-                continue;
-            };
-            let dp = self.model.power.s_wl(e) * dwl + self.model.power.s_ilv(e) * dilv;
-            if d == cell {
-                own_dp += dp;
-            } else {
-                delta += alpha_temp * ws.resistance(d, &self.cell_resistance) * dp;
-                ws.stage_power(d, ws.power(d, &self.cell_power) + dp);
-            }
-        }
-        if alpha_temp > 0.0 {
-            let p_old = ws.power(cell, &self.cell_power);
-            let r_old = ws.resistance(cell, &self.cell_resistance);
-            let r_new = resistance_at(self.model, self.netlist, cell, pos);
-            delta += alpha_temp * (r_new * (p_old + own_dp) - r_old * p_old);
-            ws.stage_power(cell, p_old + own_dp);
-            if ws.res_stamp[cell.index()] != ws.epoch {
-                ws.res_stamp[cell.index()] = ws.epoch;
-                ws.res_cells.push(cell);
-            }
-            ws.res_val[cell.index()] = r_new;
-        }
-        ws.moves.push((cell, pos));
-        ws.deltas.push(delta);
-        delta
-    }
-
-    /// Patches all staged values into the caches. Powers take the rebuild
-    /// arithmetic over the committed geometry, not the staged linear
-    /// updates, so the caches stay bitwise equal to a rebuild.
-    fn commit(&mut self, ws: &DeltaWorkspace) {
-        for &(e, ext) in &ws.net_entries {
-            self.nets[e.index()] = ext;
-        }
-        for &c in &ws.power_cells {
-            self.cell_power[c.index()] = power_from(self.model, self.netlist, &self.nets, c);
-        }
-        for &c in &ws.res_cells {
-            self.cell_resistance[c.index()] = ws.res_val[c.index()];
-        }
-        for &(c, (x, y, l)) in &ws.moves {
-            self.placement.set(c, x, y, l);
-        }
-        for &d in &ws.deltas {
-            self.total += d;
-        }
-    }
-
-    /// A [`FrozenPricer`] view of the committed state: the probe memo
-    /// plus, with the thermal term active, the power and resistance
-    /// caches.
-    pub fn frozen_pricer(&self) -> FrozenPricer<'_> {
-        FrozenPricer {
-            netlist: self.netlist,
-            placement: &self.placement,
-            nets: &self.nets,
-            cell_nets: &self.cell_nets,
-            probes: &self.probes,
-            alpha_ilv: self.model.alpha_ilv,
-            thermal: ThermalTerm::of(
-                self.netlist,
-                self.model,
-                &self.cell_power,
-                &self.cell_resistance,
-            ),
-        }
+    /// The memoized probe entry of distinct-net CSR slot `idx` of `cell`,
+    /// built on first use. Racing builders compute the same pure function
+    /// of the committed state, so whichever wins, every reader sees
+    /// bitwise-identical values at any thread count.
+    #[inline]
+    fn entry(&self, idx: usize, cell: CellId) -> &ProbeEntry {
+        self.probes
+            .get_or_build(idx, self.cell_nets.entries[idx].0, || {
+                probe_entry_at(
+                    self.netlist,
+                    &self.placement,
+                    &self.nets,
+                    &self.cell_nets,
+                    idx,
+                    cell,
+                )
+            })
     }
 
     /// Drops the memoized probe entries a move of `cell` made stale:
@@ -1347,67 +1025,223 @@ impl<'a> IncrementalObjective<'a> {
     }
 
     /// Objective change if `cell` moved to `(x, y, layer)`, without
-    /// committing. Negative is an improvement. This is the probe-memo
-    /// fold of [`FrozenPricer::delta_move`].
+    /// committing; negative is an improvement. One fold of the cell's
+    /// memoized probe entries in CSR order, in `delta_move_rescan`'s
+    /// order of additions: per net the WL + α_ILV·ILV change and, with
+    /// the thermal term, that net's power change at its driver's cached
+    /// resistance (or, when the cell drives the net, to the cell's own
+    /// power change); last the cell's own `α_TEMP·(R'·P' − R·P)`.
+    /// [`apply_move`](Self::apply_move) returns this fold bit for bit.
+    #[inline]
     pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        self.frozen_pricer().delta_move(cell, x, y, layer)
+        self.fold_one(cell, (x, y, layer), self.thermal(), |idx| {
+            self.entry(idx, cell)
+        })
     }
 
-    /// Objective change for executing `moves` in order (later moves are
-    /// priced on top of earlier ones), without committing. The sum equals
-    /// folding the per-move deltas left to right, exactly as
-    /// [`apply_moves`](Self::apply_moves) would add them to `total`.
-    pub fn delta_moves(&self, moves: &[CellMove]) -> f64 {
-        match moves {
-            [m] => self.delta_move(m.cell, m.x, m.y, m.layer),
-            [a, b] if self.nets_disjoint(a.cell, b.cell) => {
-                // Cells that share no net price independently: neither
-                // leg moves a pin, a driver or a power the other reads,
-                // so two single-move folds summed in order are exactly
-                // what committing the legs one by one applies.
-                let frozen = self.frozen_pricer();
-                let mut sum = frozen.delta_move(a.cell, a.x, a.y, a.layer);
-                sum += frozen.delta_move(b.cell, b.x, b.y, b.layer);
-                sum
+    /// Objective change of moving `cell` to each of `targets`, written to
+    /// `out[t]` (`out` is as long as `targets`), each bit for bit
+    /// `delta_move(cell, targets[t])`. In WL+ILV mode the cell's memoized
+    /// probe entries are read once and folded net-major: each target's
+    /// sum starts at `0.0` and adds one term per net in CSR order, the
+    /// additions `delta_move` makes.
+    pub fn delta_move_batch(&self, cell: CellId, targets: &[(f64, f64, u16)], out: &mut [f64]) {
+        self.fold_targets(cell, targets, out, |idx| *self.entry(idx, cell));
+    }
+
+    /// [`delta_move_batch`](Self::delta_move_batch) with each entry built
+    /// on the spot instead of read from the memo, which it leaves
+    /// unfilled: for callers whose own commit drops those entries before
+    /// anyone could reuse them (row shifting, DESIGN.md §17).
+    pub(crate) fn delta_move_batch_unmemoized(
+        &self,
+        cell: CellId,
+        targets: &[(f64, f64, u16)],
+        out: &mut [f64],
+    ) {
+        self.fold_targets(cell, targets, out, |idx| {
+            probe_entry_at(
+                self.netlist,
+                &self.placement,
+                &self.nets,
+                &self.cell_nets,
+                idx,
+                cell,
+            )
+        });
+    }
+
+    /// [`delta_move`](Self::delta_move)'s fold over the entries `entry`
+    /// hands out, with `thermal` as the α_TEMP term. The objective mode
+    /// is tested once, outside the net loop.
+    #[inline(always)]
+    fn fold_one<E: Borrow<ProbeEntry>>(
+        &self,
+        cell: CellId,
+        pos: (f64, f64, u16),
+        thermal: Option<ThermalTerm<'_>>,
+        entry: impl Fn(usize) -> E,
+    ) -> f64 {
+        let (netlist, cell_nets, alpha_ilv) = (self.netlist, &self.cell_nets, self.model.alpha_ilv);
+        let mut delta = 0.0;
+        let Some(thermal) = thermal else {
+            for idx in cell_nets.range(cell) {
+                let (dwl, dilv) =
+                    probe_entry_change(netlist, cell_nets, idx, entry(idx).borrow(), pos);
+                delta += dwl + alpha_ilv * dilv;
             }
-            _ => {
-                let mut ws = self.pricing.borrow_mut();
-                let ws = &mut *ws;
-                ws.begin();
-                let mut sum = 0.0;
-                for m in moves {
-                    sum += self.price_move(ws, m.cell, (m.x, m.y, m.layer));
+            return delta;
+        };
+        let mut own_dp = 0.0;
+        for idx in cell_nets.range(cell) {
+            let change = probe_entry_change(netlist, cell_nets, idx, entry(idx).borrow(), pos);
+            delta += change.0 + alpha_ilv * change.1;
+            let e = cell_nets.entries[idx].0;
+            thermal.add_net(cell, e, change, &mut delta, &mut own_dp);
+        }
+        delta + thermal.own(cell, pos, own_dp)
+    }
+
+    /// The fold behind the batch pricers. WL+ILV mode folds net-major,
+    /// one `entry(idx)` per distinct net of `cell` added to every
+    /// target's sum, and tests the mode outside the net and target loops.
+    /// Thermal batches are short (row shifting's two β candidates), so
+    /// each of their targets folds on its own.
+    #[inline]
+    fn fold_targets(
+        &self,
+        cell: CellId,
+        targets: &[(f64, f64, u16)],
+        out: &mut [f64],
+        entry: impl Fn(usize) -> ProbeEntry,
+    ) {
+        debug_assert_eq!(out.len(), targets.len());
+        if let Some(thermal) = self.thermal() {
+            for (sum, &pos) in out.iter_mut().zip(targets) {
+                *sum = self.fold_one(cell, pos, Some(thermal), &entry);
+            }
+            return;
+        }
+        out.fill(0.0);
+        if targets.is_empty() {
+            return;
+        }
+        let (netlist, cell_nets, alpha_ilv) = (self.netlist, &self.cell_nets, self.model.alpha_ilv);
+        for idx in cell_nets.range(cell) {
+            let entry = entry(idx);
+            for (sum, &pos) in out.iter_mut().zip(targets) {
+                let (dwl, dilv) = probe_entry_change(netlist, cell_nets, idx, &entry, pos);
+                *sum += dwl + alpha_ilv * dilv;
+            }
+        }
+    }
+
+    /// Calls `push` with one `(x0, x1, y0, y1)` exclusion rectangle per
+    /// own pin of `cell` whose net has at least one pin on another cell —
+    /// the inputs of the coarse global pass's optimal-region medians.
+    /// Read from the very probe entries [`delta_move`](Self::delta_move)
+    /// prices with, so each rectangle is bitwise identical to a fresh
+    /// exclude-the-cell scan of the net, at O(own pins) in the common
+    /// case instead of O(net degree).
+    pub fn exclusion_rects(&self, cell: CellId, mut push: impl FnMut(f64, f64, f64, f64)) {
+        for idx in self.cell_nets.range(cell) {
+            let entry = self.entry(idx, cell);
+            // A finite min marks a non-empty exclusion (positions are
+            // always finite); nets the cell fully owns are skipped, like
+            // the historical scan's `others > 0` test. Multi-pin nets
+            // repeat their rectangle once per own pin, matching the
+            // per-pin iteration order's multiset of median inputs.
+            if entry.rx0 != f64::INFINITY {
+                for _ in 0..entry.own_pins {
+                    push(entry.rx0, entry.rx1, entry.ry0, entry.ry1);
                 }
-                sum
             }
         }
     }
 
-    /// True when `a` and `b` share no net (their moves price
-    /// independently). O(deg(a) · deg(b)) over the distinct-net CSR —
-    /// cell degrees are small.
-    fn nets_disjoint(&self, a: CellId, b: CellId) -> bool {
-        if a == b {
-            return false;
+    /// The two legs of a pair as committing them one after the other
+    /// adds them to `total` (module docs): the first cell's probe fold,
+    /// then the second cell's fold over the first leg's outcome.
+    fn pair_legs(&self, first: CellMove, second: CellMove) -> (f64, f64) {
+        debug_assert_ne!(first.cell, second.cell, "a pair moves two distinct cells");
+        let (a, pa) = (first.cell, (first.x, first.y, first.layer));
+        let (b, pb) = (second.cell, (second.x, second.y, second.layer));
+        let thermal = self.thermal();
+        let d1 = self.fold_one(a, pa, thermal, |idx| self.entry(idx, a));
+        let a_nets = &self.cell_nets.entries[self.cell_nets.range(a)];
+        let on_a = |e: NetId| a_nets.iter().any(|&(e2, _, _)| e2 == e);
+        let b_nets = &self.cell_nets.entries[self.cell_nets.range(b)];
+        if !b_nets.iter().any(|&(e, _, _)| on_a(e)) {
+            // Cells that share no net: the first leg moves no pin, no
+            // driver and no power the second reads.
+            return (d1, self.fold_one(b, pb, thermal, |idx| self.entry(idx, b)));
         }
-        let ra = self.cell_nets.range(a);
-        for idx in self.cell_nets.range(b) {
-            let (e, _, _) = self.cell_nets.entries[idx];
-            if self.cell_nets.entries[ra.clone()]
-                .iter()
-                .any(|&(e2, _, _)| e2 == e)
-            {
-                return false;
+        let thermal = thermal.map(|t| ThermalTerm {
+            first_leg: Some(FirstLeg {
+                cell: a,
+                resistance: resistance_at(self.model, self.netlist, a, pa),
+                second_power: self.carried_power(&t, a, pa, b),
+            }),
+            ..t
+        });
+        let d2 = self.fold_one(b, pb, thermal, |idx| {
+            let e = self.cell_nets.entries[idx].0;
+            if !on_a(e) {
+                return *self.entry(idx, b);
+            }
+            // The first leg moves a pin of this net: scan it with the
+            // first cell at its target.
+            let moved = [(a, pa)];
+            let old = scan_net_extremes(self.netlist, &self.placement, e, &moved).geometry();
+            ProbeEntry::new(self.netlist, &self.cell_nets, idx, old).exclude(
+                self.netlist,
+                &self.placement,
+                e,
+                b,
+                &moved,
+            )
+        });
+        (d1, d2)
+    }
+
+    /// `second`'s power after `first` moves to `pos`: its cached power
+    /// plus the first leg's power change on each net it drives, added in
+    /// `first`'s net order.
+    fn carried_power(
+        &self,
+        thermal: &ThermalTerm<'_>,
+        first: CellId,
+        pos: (f64, f64, u16),
+        second: CellId,
+    ) -> f64 {
+        let mut power = self.cell_power[second.index()];
+        for idx in self.cell_nets.range(first) {
+            let e = self.cell_nets.entries[idx].0;
+            if self.netlist.net_driver_cell(e) == Some(second) {
+                let entry = self.entry(idx, first);
+                power += thermal.power_change(
+                    e,
+                    probe_entry_change(self.netlist, &self.cell_nets, idx, entry, pos),
+                );
             }
         }
-        true
+        power
+    }
+
+    /// Objective change of moving two distinct cells one after the
+    /// other, without committing: the sum of the two legs
+    /// [`apply_pair`](Self::apply_pair) adds to `total`.
+    pub fn delta_pair(&self, first: CellMove, second: CellMove) -> f64 {
+        let (d1, d2) = self.pair_legs(first, second);
+        d1 + d2
     }
 
     /// Objective change for swapping the positions of two cells, without
     /// committing. Read-only: `total`, the caches, and the placement are
     /// untouched.
     pub fn delta_swap(&self, a: CellId, b: CellId) -> f64 {
-        self.delta_moves(&self.swap_moves(a, b))
+        let [first, second] = self.swap_moves(a, b);
+        self.delta_pair(first, second)
     }
 
     /// The two moves that swap the positions of `a` and `b`.
@@ -1431,15 +1265,22 @@ impl<'a> IncrementalObjective<'a> {
 
     /// Moves `cell` to `(x, y, layer)`, updating all caches. Returns the
     /// objective change that was applied: the probe fold's delta
-    /// ([`FrozenPricer::delta_move`]) bit for bit.
+    /// ([`delta_move`](Self::delta_move)) bit for bit.
     pub fn apply_move(&mut self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        // Patch the caches in place: per net, the update-or-rescan of its
-        // extremes. The new extremes hold the very min/max values the
-        // probe folds from its exclusion extremes, so each net's
-        // (ΔWL, ΔILV) — and with them every addition of the probe's fold,
-        // in the same order — are the probe's.
+        let delta = self.commit_move(cell, (x, y, layer));
+        self.total += delta;
+        delta
+    }
+
+    /// [`apply_move`](Self::apply_move) without its update of `total`:
+    /// patches the caches in place and returns the fold's delta.
+    fn commit_move(&mut self, cell: CellId, pos: (f64, f64, u16)) -> f64 {
+        // Per net, the update-or-rescan of its extremes. The new extremes
+        // hold the very min/max values the probe folds from its exclusion
+        // extremes, so each net's (ΔWL, ΔILV) — and with them every
+        // addition of the probe's fold, in the same order — are the
+        // probe's.
         let netlist = self.netlist;
-        let pos = (x, y, layer);
         let old_pos = self.placement.position(cell);
         let alpha_ilv = self.model.alpha_ilv;
         let thermal = ThermalTerm::of(netlist, self.model, &self.cell_power, &self.cell_resistance);
@@ -1480,39 +1321,22 @@ impl<'a> IncrementalObjective<'a> {
             }
             self.cell_resistance[cell.index()] = resistance_at(self.model, netlist, cell, pos);
         }
-        self.placement.set(cell, x, y, layer);
-        self.total += delta;
+        self.placement.set(cell, pos.0, pos.1, pos.2);
         self.drop_stale_probes(cell);
         delta
     }
 
-    /// Executes `moves` in order, updating all caches once. Returns the
-    /// total objective change, bitwise equal to what
-    /// [`delta_moves`](Self::delta_moves) predicted: one move, or two
-    /// that share no net, commit as single moves; only legs that share a
-    /// net take the staged path.
-    pub fn apply_moves(&mut self, moves: &[CellMove]) -> f64 {
-        match moves {
-            [m] => return self.apply_move(m.cell, m.x, m.y, m.layer),
-            [a, b] if self.nets_disjoint(a.cell, b.cell) => {
-                let mut sum = self.apply_move(a.cell, a.x, a.y, a.layer);
-                sum += self.apply_move(b.cell, b.x, b.y, b.layer);
-                return sum;
-            }
-            _ => {}
-        }
-        let mut ws = self.pricing.take();
-        ws.begin();
-        let mut sum = 0.0;
-        for m in moves {
-            sum += self.price_move(&mut ws, m.cell, (m.x, m.y, m.layer));
-        }
-        self.commit(&ws);
-        for &(cell, _) in &ws.moves {
-            self.drop_stale_probes(cell);
-        }
-        *self.pricing.get_mut() = ws;
-        sum
+    /// Moves two distinct cells one after the other. The caches take
+    /// each leg's [`apply_move`](Self::apply_move) commit, and `total`
+    /// takes the two legs [`delta_pair`](Self::delta_pair) prices, in
+    /// order. Returns their sum, bitwise `delta_pair`'s.
+    pub fn apply_pair(&mut self, first: CellMove, second: CellMove) -> f64 {
+        let (d1, d2) = self.pair_legs(first, second);
+        self.commit_move(first.cell, (first.x, first.y, first.layer));
+        self.commit_move(second.cell, (second.x, second.y, second.layer));
+        self.total += d1;
+        self.total += d2;
+        d1 + d2
     }
 
     /// Commits a whole sweep of moves at once: sets every position,
@@ -1531,31 +1355,28 @@ impl<'a> IncrementalObjective<'a> {
         for m in moves {
             self.placement.set(m.cell, m.x, m.y, m.layer);
         }
-        let ws = self.pricing.get_mut();
-        ws.begin();
         let thermal = self.model.alpha_temp > 0.0;
+        let mut touched = vec![false; self.nets.len()];
+        let mut drivers = Vec::new();
         for m in moves {
             for idx in self.cell_nets.range(m.cell) {
                 let e = self.cell_nets.entries[idx].0;
-                let ei = e.index();
-                if ws.net_stamp[ei] == ws.epoch {
+                if std::mem::replace(&mut touched[e.index()], true) {
                     continue;
                 }
-                ws.net_stamp[ei] = ws.epoch;
-                self.nets[ei] = scan_net_extremes(netlist, &self.placement, e, &[]);
+                self.nets[e.index()] = scan_net_extremes(netlist, &self.placement, e, &[]);
                 self.probes.invalidate_net(netlist, &self.cell_nets, e);
                 // A net's geometry enters its driver's power.
                 if let Some(d) = netlist.net_driver_cell(e).filter(|_| thermal) {
-                    if ws.power_stamp[d.index()] != ws.epoch {
-                        ws.power_stamp[d.index()] = ws.epoch;
-                        ws.power_cells.push(d);
-                    }
+                    drivers.push(d);
                 }
             }
         }
         if thermal {
+            drivers.sort_unstable();
+            drivers.dedup();
             let (model, nets) = (self.model, &self.nets);
-            for &d in &ws.power_cells {
+            for d in drivers {
                 self.cell_power[d.index()] = power_from(model, netlist, nets, d);
             }
             for m in moves {
@@ -1568,8 +1389,8 @@ impl<'a> IncrementalObjective<'a> {
 
     /// Swaps the positions of two cells. Returns the objective change.
     pub fn apply_swap(&mut self, a: CellId, b: CellId) -> f64 {
-        let moves = self.swap_moves(a, b);
-        self.apply_moves(&moves)
+        let [first, second] = self.swap_moves(a, b);
+        self.apply_pair(first, second)
     }
 
     /// Reference pricing kernel: prices a move by fully rescanning every
@@ -1654,7 +1475,6 @@ impl<'a> IncrementalObjective<'a> {
             total: 0.0,
             cell_nets: DistinctNets::default(),
             probes: ProbeMemo::default(),
-            pricing: RefCell::new(DeltaWorkspace::default()),
         };
         clone.rebuild();
         clone.total
@@ -1675,9 +1495,9 @@ impl<'a> IncrementalObjective<'a> {
     }
 }
 
-/// Cells the power/resistance caches and their workspace overlays cover:
-/// all of them while the thermal term is active, none in WL+ILV mode,
-/// where nothing reads them (40 B per cell saved).
+/// Cells the power/resistance caches cover: all of them while the
+/// thermal term is active, none in WL+ILV mode, where nothing reads them
+/// (16 B per cell saved).
 fn thermal_cells(netlist: &Netlist, model: &ObjectiveModel) -> usize {
     if model.alpha_temp > 0.0 {
         netlist.num_cells()
@@ -1838,10 +1658,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_probe_matches_staged_commit_wl_only() {
+    fn cached_probe_matches_commit_wl_only() {
         // Probes read the probe memo while commits patch the caches in
-        // place (or, for swaps of cells sharing a net, replay the staged
-        // path); the two must agree bitwise, for moves and for swaps
+        // place; the two must agree bitwise, for moves and for swaps
         // (disjoint and net-sharing).
         let (netlist, chip, config) = fixture(0.0);
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
@@ -1864,14 +1683,14 @@ mod tests {
                 }
                 let probe = obj.delta_swap(c, b);
                 let applied = obj.apply_swap(c, b);
-                assert_eq!(probe, applied, "swap probe == staged commit");
+                assert_eq!(probe, applied, "swap probe == commit");
             } else {
                 let x = rng.random_range(0.0..chip.width);
                 let y = rng.random_range(0.0..chip.depth);
                 let l = rng.random_range(0..chip.num_layers as u16);
                 let probe = obj.delta_move(c, x, y, l);
                 let applied = obj.apply_move(c, x, y, l);
-                assert_eq!(probe, applied, "move probe == staged commit");
+                assert_eq!(probe, applied, "move probe == commit");
             }
         }
         // The random pairs must have covered both swap pricing paths.
@@ -1883,7 +1702,6 @@ mod tests {
         let (netlist, chip, config) = fixture(0.0);
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let obj = IncrementalObjective::new(&netlist, &model, random_spread(&netlist, &chip, 13));
-        let frozen = obj.frozen_pricer();
         let mut rng = SmallRng::seed_from_u64(14);
         let mut probes = Vec::new();
         for _ in 0..200 {
@@ -1896,7 +1714,7 @@ mod tests {
                 )
             });
             let mut sums = [0.0; 3];
-            frozen.delta_move_batch_unmemoized(cell, &targets, &mut sums);
+            obj.delta_move_batch_unmemoized(cell, &targets, &mut sums);
             probes.push((cell, targets, sums));
         }
         assert!(
@@ -1905,7 +1723,7 @@ mod tests {
         );
         for (cell, targets, sums) in probes {
             for ((x, y, l), sum) in targets.into_iter().zip(sums) {
-                assert_eq!(sum.to_bits(), frozen.delta_move(cell, x, y, l).to_bits());
+                assert_eq!(sum.to_bits(), obj.delta_move(cell, x, y, l).to_bits());
             }
         }
     }

@@ -387,6 +387,22 @@ impl fmt::Display for RepairAction {
     }
 }
 
+/// Whether [`repair`] acts on at least one of `report`'s errors. It
+/// clamps degenerate cell dimensions and drops nets with fewer than two
+/// pins; every other error (a bad fixed position, overlapping fixed
+/// cells, too little capacity) needs a fix it cannot make.
+pub fn repair_fixes_an_error(report: &ValidationReport) -> bool {
+    report.errors().any(|d| {
+        matches!(
+            d.code,
+            DiagnosticCode::ZeroAreaCell
+                | DiagnosticCode::NonFiniteCellDims
+                | DiagnosticCode::EmptyNet
+                | DiagnosticCode::SinglePinNet
+        )
+    })
+}
+
 /// Applies the safe normalizations: clamps non-finite or non-positive
 /// cell dimensions to the design's typical (first finite positive) value,
 /// and drops nets with fewer than two pins. Cell kinds, net weights,

@@ -7,8 +7,9 @@
 //! *bitwise* equal to what a from-scratch `rebuild()` of the same
 //! placement produces, at every thread count. Pricing is read-only, and
 //! a probe's delta is bitwise equal to the delta its commit applies, in
-//! both objective modes; with the thermal term the single-move probe
-//! also equals the `delta_move_rescan` oracle bit for bit.
+//! both objective modes, for single moves and for pairs; with the thermal
+//! term the single-move probe also equals the `delta_move_rescan` oracle
+//! bit for bit.
 //! The probe memo never serves a stale entry: after every commit, the
 //! moved cells and their net neighbours price exactly like they do on a
 //! freshly built evaluator of the same placement. The commits include
@@ -73,12 +74,10 @@ fn random_design(cells: usize, seed: u64, shared: bool) -> Netlist {
 }
 
 /// Everything the probe memo answers for one cell and candidate
-/// position, as raw bits: the live `delta_move` (which the
-/// `frozen_pricer()` delta and its batch fold must equal, in both
-/// objective modes) and the optimal-region exclusion rectangles. The
-/// batch fold prices the candidate beside the cell's own position, and
-/// each of its sums must equal the single probe of the same target bit
-/// for bit.
+/// position, as raw bits: `delta_move` and the optimal-region exclusion
+/// rectangles. The batch fold prices the candidate beside the cell's own
+/// position, and each of its sums must equal the single probe of the
+/// same target bit for bit.
 type ProbeBits = (u64, Vec<[u64; 4]>);
 
 fn probe_bits(
@@ -87,24 +86,18 @@ fn probe_bits(
     (x, y, l): (f64, f64, u16),
 ) -> ProbeBits {
     let live = obj.delta_move(cell, x, y, l).to_bits();
-    let frozen = obj.frozen_pricer();
-    assert_eq!(
-        frozen.delta_move(cell, x, y, l).to_bits(),
-        live,
-        "frozen probe == live probe"
-    );
     let here = obj.placement().position(cell);
     let mut sums = [0.0; 2];
-    frozen.delta_move_batch(cell, &[(x, y, l), here], &mut sums);
+    obj.delta_move_batch(cell, &[(x, y, l), here], &mut sums);
     assert_eq!(sums[0].to_bits(), live, "batch fold == delta_move");
     assert_eq!(
         sums[1].to_bits(),
-        frozen.delta_move(cell, here.0, here.1, here.2).to_bits(),
+        obj.delta_move(cell, here.0, here.1, here.2).to_bits(),
         "batch fold of cell {} at its own position",
         cell.index()
     );
     let mut rects = Vec::new();
-    frozen.exclusion_rects(cell, |x0, x1, y0, y1| {
+    obj.exclusion_rects(cell, |x0, x1, y0, y1| {
         rects.push([x0.to_bits(), x1.to_bits(), y0.to_bits(), y1.to_bits()]);
     });
     (live, rects)
@@ -317,6 +310,139 @@ fn assert_caches_match_rebuild(netlist: &Netlist, seed: u64, thermal: bool) {
     }
 }
 
+/// Asserts that `obj`'s caches equal those of an evaluator built from
+/// scratch over the same placement, bit for bit.
+fn assert_caches_equal_rebuild(obj: &IncrementalObjective<'_>, netlist: &Netlist, what: &str) {
+    let fresh = IncrementalObjective::new(netlist, obj.model(), obj.placement().clone());
+    for e in 0..netlist.num_nets() {
+        let net = NetId::new(e);
+        assert_eq!(
+            obj.net_geometry(net),
+            fresh.net_geometry(net),
+            "net {e} after {what}"
+        );
+    }
+    for i in 0..netlist.num_cells() {
+        let c = CellId::new(i);
+        assert_eq!(
+            obj.cell_power(c).to_bits(),
+            fresh.cell_power(c).to_bits(),
+            "power {i} after {what}"
+        );
+        assert_eq!(
+            obj.cell_resistance(c).to_bits(),
+            fresh.cell_resistance(c).to_bits(),
+            "resistance {i} after {what}"
+        );
+    }
+}
+
+/// A pair of moves: a random cell, and for nine draws in ten a pin cell
+/// of one of its nets (else any other cell). Even draws swap the two
+/// cells' positions; odd draws send both to random targets. Returns
+/// whether the cells share a net.
+fn neighbour_pair(
+    netlist: &Netlist,
+    chip: &Chip,
+    obj: &IncrementalObjective<'_>,
+    i: usize,
+    rng: &mut SmallRng,
+) -> (CellMove, CellMove, bool) {
+    let n = netlist.num_cells();
+    let a = CellId::new(rng.random_range(0..n));
+    let neighbours: Vec<CellId> = netlist
+        .cell_nets(a)
+        .flat_map(|e| netlist.net_pins(e).iter().map(|&p| netlist.pin(p).cell()))
+        .filter(|&c| c != a)
+        .collect();
+    let b = if !neighbours.is_empty() && rng.random_range(0..10) < 9 {
+        neighbours[rng.random_range(0..neighbours.len())]
+    } else {
+        CellId::new((a.index() + rng.random_range(1..n)) % n)
+    };
+    let shared = netlist
+        .cell_nets(a)
+        .any(|e| netlist.cell_nets(b).any(|e2| e2 == e));
+    let (pa, pb) = if i.is_multiple_of(2) {
+        (obj.placement().position(b), obj.placement().position(a))
+    } else {
+        (random_target(chip, rng), random_target(chip, rng))
+    };
+    let at = |cell, (x, y, layer): (f64, f64, u16)| CellMove { cell, x, y, layer };
+    (at(a, pa), at(b, pb), shared)
+}
+
+/// Prices and commits `pairs` neighbour pairs on a scattered placement
+/// at threads 1, 2 and 4, checking every commit (module docs). Returns
+/// how many of the pairs shared a net.
+fn drive_pairs(netlist: &Netlist, seed: u64, thermal: bool, pairs: usize) -> usize {
+    let config = PlacerConfig::new(4)
+        .with_alpha_ilv(1.0e-5)
+        .with_alpha_temp(if thermal { 1.0e-4 } else { 0.0 });
+    let chip = Chip::from_netlist(netlist, &config).expect("chip fits");
+    let model = ObjectiveModel::new(netlist, &chip, &config).expect("model builds");
+    let mut shared_pairs = 0;
+    for threads in [1usize, 2, 4] {
+        tvp_parallel::with_threads(threads, || {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x9A1E);
+            let mut placement = Placement::centered(netlist.num_cells(), &chip);
+            for i in 0..netlist.num_cells() {
+                let (x, y, l) = random_target(&chip, &mut rng);
+                placement.set(CellId::new(i), x, y, l);
+            }
+            let mut obj = IncrementalObjective::new(netlist, &model, placement);
+            shared_pairs = 0;
+            for i in 0..pairs {
+                let (first, second, shared) = neighbour_pair(netlist, &chip, &obj, i, &mut rng);
+                shared_pairs += shared as usize;
+                let probe = obj.delta_pair(first, second);
+                if i.is_multiple_of(2) {
+                    let swap = obj.delta_swap(first.cell, second.cell);
+                    assert_eq!(swap.to_bits(), probe.to_bits(), "delta_swap == delta_pair");
+                }
+                let before = obj.recompute_total();
+                let mut sequential = obj.clone();
+                let applied = obj.apply_pair(first, second);
+                assert_eq!(
+                    probe.to_bits(),
+                    applied.to_bits(),
+                    "pair probe == commit (pair {i})"
+                );
+                if thermal {
+                    let change = obj.recompute_total() - before;
+                    assert!(
+                        (applied - change).abs() <= 1.0e-9 * before.abs().max(1.0e-12),
+                        "pair {i}: delta {applied} vs recomputed change {change}"
+                    );
+                }
+                // The second leg starts from the first leg's caches, which
+                // a commit of the first move rebuilds exactly, except for
+                // the power of a second cell that drives one of the first
+                // cell's nets: there the pair carries a linear update.
+                let carried = netlist
+                    .cell_nets(first.cell)
+                    .any(|e| netlist.net_driver_cell(e) == Some(second.cell));
+                if !(thermal && carried) {
+                    let mut legs = sequential.apply_move(first.cell, first.x, first.y, first.layer);
+                    legs += sequential.apply_move(second.cell, second.x, second.y, second.layer);
+                    assert_eq!(
+                        applied.to_bits(),
+                        legs.to_bits(),
+                        "pair == two moves (pair {i})"
+                    );
+                    assert_eq!(obj.total().to_bits(), sequential.total().to_bits());
+                }
+                assert_caches_equal_rebuild(
+                    &obj,
+                    netlist,
+                    &format!("pair {i} at threads={threads}"),
+                );
+            }
+        });
+    }
+    shared_pairs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -468,6 +594,31 @@ proptest! {
         }
         for (i, expected) in power.iter().enumerate() {
             prop_assert_eq!(&obj.cell_power(CellId::new(i)), expected);
+        }
+    }
+
+    /// Pairs whose cells mostly share a net price as two folds: the
+    /// probe equals the commit bit for bit; in WL+ILV mode (and in thermal
+    /// mode when no power carries over) it also equals two sequential
+    /// `apply_move`s bit for bit; with the thermal term it is within 1e-9
+    /// of the objective of the recomputed change; and the caches equal a
+    /// rebuild after every commit. Both modes, threads 1/2/4, on a
+    /// synthetic and a shared-pin design.
+    #[test]
+    fn pair_fold_prices_net_sharing_pairs_exactly(
+        cells in 60usize..160,
+        seed in 0u64..1000,
+    ) {
+        for shared in [false, true] {
+            let netlist = random_design(cells, seed, shared);
+            for thermal in [false, true] {
+                let pairs = 60;
+                let sharing = drive_pairs(&netlist, seed, thermal, pairs);
+                prop_assert!(
+                    sharing * 2 > pairs,
+                    "only {sharing} of {pairs} pairs share a net"
+                );
+            }
         }
     }
 }

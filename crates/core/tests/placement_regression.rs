@@ -35,20 +35,13 @@
 //! (+0.26%). Over `tvp synth` seeds 1–8 at 4 layers the median change
 //! was +0.34% (1k, better on 3 of 8) and −0.35% (3k, better on 5 of 8)
 //! in objective, +0.41% and −0.18% in T_max. The WL+ILV digests did not
-//! move.)
+//! move. Pricing swaps and move pairs as two probe folds instead of a
+//! staged workspace moved no digest in either mode.)
 
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_core::{Placer, PlacerConfig};
+use tvp_netlist::hash::fnv1a;
 use tvp_netlist::CellId;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The hotpaths reference configuration: 4 layers, 4 partition starts.
 fn reference_config() -> PlacerConfig {
@@ -68,7 +61,7 @@ fn placement_outcome(cells: usize, config: &PlacerConfig, threads: usize) -> (u6
         bytes.extend_from_slice(&y.to_bits().to_le_bytes());
         bytes.extend_from_slice(&layer.to_le_bytes());
     }
-    (fnv1a(&bytes), result.metrics.objective.to_bits())
+    (fnv1a(bytes), result.metrics.objective.to_bits())
 }
 
 /// Asserts that `config` places the `cells`-cell design bitwise
