@@ -105,31 +105,10 @@ pub enum Command {
     Stats(StatsArgs),
     /// `tvp sweep`.
     Sweep(SweepArgs),
-    /// `tvp serve`.
-    Serve(ServeArgs),
+    /// `tvp serve`: the placement daemon's configuration.
+    Serve(tvp_serve::ServerConfig),
     /// `tvp help` (or no arguments).
     Help,
-}
-
-/// Arguments of `tvp serve`: the fault-tolerant placement daemon.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ServeArgs {
-    /// Bind address (`127.0.0.1:0` picks a free port).
-    pub listen: String,
-    /// Durable job/checkpoint store directory.
-    pub state_dir: String,
-    /// Concurrent job executions.
-    pub workers: usize,
-    /// Admission-control bound on queued jobs.
-    pub max_queue: usize,
-    /// Threads shared across concurrent jobs (0 = all hardware threads).
-    pub thread_budget: usize,
-    /// Default retry cap per job.
-    pub max_attempts: u32,
-    /// Backoff base delay, milliseconds.
-    pub retry_base_ms: u64,
-    /// Graceful-shutdown drain budget, seconds.
-    pub drain_secs: u64,
 }
 
 /// Arguments of `tvp validate`: preflight diagnostics for one design.
@@ -280,7 +259,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseArgsError> {
         "synth" => parse_synth(&mut it),
         "stats" => parse_stats(&mut it),
         "sweep" => parse_sweep(&mut it),
-        "serve" => parse_serve(&mut it),
+        "serve" => tvp_serve::host::parse_flags(it.as_slice())
+            .map(Command::Serve)
+            .map_err(err),
         other => Err(err(format!("unknown subcommand `{other}`"))),
     }
 }
@@ -521,41 +502,6 @@ fn parse_sweep(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseAr
     Ok(Command::Sweep(args))
 }
 
-fn parse_serve(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseArgsError> {
-    let mut args = ServeArgs {
-        listen: "127.0.0.1:0".to_string(),
-        state_dir: "tvp-serve-state".to_string(),
-        workers: 2,
-        max_queue: 8,
-        thread_budget: 0,
-        max_attempts: 3,
-        retry_base_ms: 500,
-        drain_secs: 5,
-    };
-    while let Some(token) = it.next() {
-        match token.as_str() {
-            "--listen" => args.listen = take_value(token, it)?.to_string(),
-            "--state-dir" => args.state_dir = take_value(token, it)?.to_string(),
-            "--workers" => args.workers = parse_num(token, take_value(token, it)?)?,
-            "--max-queue" => args.max_queue = parse_num(token, take_value(token, it)?)?,
-            "--thread-budget" => args.thread_budget = parse_num(token, take_value(token, it)?)?,
-            "--max-attempts" => {
-                args.max_attempts = parse_num(token, take_value(token, it)?)?;
-                if args.max_attempts == 0 {
-                    return Err(err("flag --max-attempts expects a value of at least 1"));
-                }
-            }
-            "--retry-base-ms" => args.retry_base_ms = parse_num(token, take_value(token, it)?)?,
-            "--drain-secs" => args.drain_secs = parse_num(token, take_value(token, it)?)?,
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}` for `serve`")))
-            }
-            extra => return Err(err(format!("unexpected argument `{extra}`"))),
-        }
-    }
-    Ok(Command::Serve(args))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,37 +515,6 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
-    }
-
-    #[test]
-    fn serve_parses_flags_and_defaults() {
-        let Command::Serve(a) = parse(&argv(
-            "serve --listen 127.0.0.1:7433 --state-dir /tmp/tvp --workers 4 \
-             --max-queue 16 --thread-budget 8 --max-attempts 5 \
-             --retry-base-ms 100 --drain-secs 2",
-        ))
-        .unwrap() else {
-            panic!("expected serve");
-        };
-        assert_eq!(a.listen, "127.0.0.1:7433");
-        assert_eq!(a.state_dir, "/tmp/tvp");
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.max_queue, 16);
-        assert_eq!(a.thread_budget, 8);
-        assert_eq!(a.max_attempts, 5);
-        assert_eq!(a.retry_base_ms, 100);
-        assert_eq!(a.drain_secs, 2);
-
-        let Command::Serve(d) = parse(&argv("serve")).unwrap() else {
-            panic!("expected serve");
-        };
-        assert_eq!(d.listen, "127.0.0.1:0");
-        assert_eq!(d.workers, 2);
-        assert_eq!(d.max_queue, 8);
-        assert_eq!(d.max_attempts, 3);
-
-        assert!(parse(&argv("serve --max-attempts 0")).is_err());
-        assert!(parse(&argv("serve --bogus")).is_err());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Command implementations for the `tvp` binary.
 
-use crate::args::{PlaceArgs, ServeArgs, StatsArgs, SweepArgs, SynthArgs, ValidateArgs};
+use crate::args::{PlaceArgs, StatsArgs, SweepArgs, SynthArgs, ValidateArgs};
 use crate::progress::StderrProgress;
 use std::fmt::Write as _;
 use tvp_bookshelf::synth::SynthConfig;
 use tvp_bookshelf::{Design, DesignBuilderOptions};
 use tvp_core::{
-    FaultKind, FaultPlan, JsonlObserver, LayerSpec, PlaceOptions, Placer, PlacerConfig,
-    PlacerObserver, Preconditioner, ValidateOptions,
+    FaultPlan, JsonlObserver, LayerSpec, PlaceOptions, Placer, PlacerConfig, PlacerObserver,
+    Preconditioner, ValidateOptions,
 };
 use tvp_netlist::CellId;
 
@@ -18,14 +18,6 @@ fn precond_from_args(name: &str, mg_levels: usize) -> Preconditioner {
         "jacobi" => Preconditioner::Jacobi,
         _ => Preconditioner::Multigrid { levels: mg_levels },
     }
-}
-
-/// Parses one `--inject-fault` spec (`kind` or `kind:site`). Omitted
-/// sites default to the stage where the fault class naturally lands.
-/// The grammar (shared with the `tvp serve` job API) lives in
-/// `tvp_core::faults::parse_spec`.
-fn parse_fault_spec(spec: &str) -> Result<(FaultKind, String), String> {
-    tvp_core::faults::parse_spec(spec)
 }
 
 /// Suffix appended to sweep table lines when a point only completed by
@@ -115,7 +107,7 @@ pub fn place(args: &PlaceArgs) -> Result<String, String> {
     } else {
         let mut plan = FaultPlan::new(args.seed);
         for spec in &args.inject_faults {
-            let (kind, site) = parse_fault_spec(spec)?;
+            let (kind, site) = tvp_core::faults::parse_spec(spec)?;
             plan = plan.inject(kind, site);
         }
         Some(plan)
@@ -552,41 +544,6 @@ fn sweep_stacks(args: &SweepArgs, design: &Design) -> Result<String, String> {
     Ok(out)
 }
 
-/// `tvp serve`: run the fault-tolerant placement daemon in the
-/// foreground until a client posts `/shutdown`. The bound address is
-/// printed to stderr and written to `<state-dir>/addr`; jobs, retries,
-/// degradations, and recoveries are narrated on stderr as they happen.
-/// (For SIGTERM handling under a process supervisor, use the
-/// standalone `tvp-served` binary, which is the same daemon.)
-///
-/// # Errors
-///
-/// Returns a message when the state directory cannot be created or the
-/// listen address cannot be bound.
-pub fn serve(args: &ServeArgs) -> Result<String, String> {
-    use std::time::Duration;
-    let config = tvp_serve::ServerConfig {
-        listen: args.listen.clone(),
-        state_dir: std::path::PathBuf::from(&args.state_dir),
-        workers: args.workers,
-        max_queue: args.max_queue,
-        thread_budget: args.thread_budget,
-        default_max_attempts: args.max_attempts.max(1),
-        retry_base: Duration::from_millis(args.retry_base_ms),
-        drain_budget: Duration::from_secs(args.drain_secs),
-        ..tvp_serve::ServerConfig::default()
-    };
-    let mut server = tvp_serve::Server::start(config)?;
-    let addr = server.addr();
-    eprintln!("[tvp-serve] listening on http://{addr}");
-    while !server.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    eprintln!("[tvp-serve] shutting down (draining)...");
-    server.shutdown();
-    Ok(format!("served on http://{addr}; shut down cleanly\n"))
-}
-
 #[cfg(test)]
 mod tests {
     use crate::run;
@@ -597,33 +554,33 @@ mod tests {
 
     #[test]
     fn fault_specs_parse_including_colon_kinds() {
-        use super::parse_fault_spec;
+        use tvp_core::faults::parse_spec;
         use tvp_core::FaultKind;
         assert_eq!(
-            parse_fault_spec("nan-power:coarse[0]").unwrap(),
+            parse_spec("nan-power:coarse[0]").unwrap(),
             (FaultKind::NanPower, "coarse[0]".to_string())
         );
         // Kind names containing `:` must not be split at the first colon.
         assert_eq!(
-            parse_fault_spec("io-error:checkpoint-write").unwrap(),
+            parse_spec("io-error:checkpoint-write").unwrap(),
             (FaultKind::CheckpointWriteIo, "global".to_string())
         );
         assert_eq!(
-            parse_fault_spec("io-error:checkpoint-write:detail[0]").unwrap(),
+            parse_spec("io-error:checkpoint-write:detail[0]").unwrap(),
             (FaultKind::CheckpointWriteIo, "detail[0]".to_string())
         );
         assert_eq!(
-            parse_fault_spec("slow-stage:detail[0]").unwrap(),
+            parse_spec("slow-stage:detail[0]").unwrap(),
             (FaultKind::SlowStage, "detail[0]".to_string())
         );
         assert_eq!(
-            parse_fault_spec("slow-stage").unwrap(),
+            parse_spec("slow-stage").unwrap(),
             (FaultKind::SlowStage, "coarse[0]".to_string())
         );
-        assert!(parse_fault_spec("io-error")
+        assert!(parse_spec("io-error")
             .unwrap_err()
             .contains("unknown fault kind"));
-        assert!(parse_fault_spec("io-error:")
+        assert!(parse_spec("io-error:")
             .unwrap_err()
             .contains("unknown fault kind"));
     }

@@ -1,6 +1,6 @@
 //! Implementation of the `tvp` command-line placer.
 //!
-//! Three subcommands:
+//! Six subcommands:
 //!
 //! * `tvp place <design.aux>` — load a Bookshelf benchmark, run the full
 //!   thermal/via-aware placement pipeline, print metrics, and optionally
@@ -15,8 +15,9 @@
 //! * `tvp sweep <design.aux>` — trace the wirelength/via tradeoff curve,
 //!   optionally exporting CSV.
 //! * `tvp serve` — run the fault-tolerant placement daemon (HTTP job
-//!   API with admission control, deadlines, retry, and crash recovery;
-//!   see the `tvp-serve` crate).
+//!   API with admission control, deadlines, retry, and crash recovery)
+//!   through `tvp_serve::host`, the same flags, signal handling and
+//!   graceful drain as the standalone `tvp-served` binary.
 //!
 //! The library portion exists so argument parsing and command dispatch
 //! are unit-testable; [`main`](../src/main.rs) is a thin wrapper.
@@ -25,9 +26,7 @@ pub mod args;
 pub mod commands;
 pub mod progress;
 
-pub use args::{
-    Command, ParseArgsError, PlaceArgs, ServeArgs, StatsArgs, SweepArgs, SynthArgs, ValidateArgs,
-};
+pub use args::{Command, ParseArgsError, PlaceArgs, StatsArgs, SweepArgs, SynthArgs, ValidateArgs};
 pub use progress::StderrProgress;
 
 /// Entry point shared by the binary and the tests.
@@ -44,7 +43,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         Command::Synth(a) => commands::synth(&a),
         Command::Stats(a) => commands::stats(&a),
         Command::Sweep(a) => commands::sweep(&a),
-        Command::Serve(a) => commands::serve(&a),
+        Command::Serve(config) => tvp_serve::host::run(config).map(|()| String::new()),
         Command::Help => Ok(args::USAGE.to_string()),
     }
 }

@@ -90,17 +90,17 @@ struct RowScratch {
 /// What one shifting pass did — the signal the convergence detector and
 /// the `ShiftPass` observer event are built from.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct ShiftPassStats {
+struct ShiftPassStats {
     /// Cells moved (x rows + y rows + z columns).
-    pub moved: usize,
+    moved: usize,
     /// Largest relative bin-boundary displacement any row solved for
     /// (|new − old| / old bin width); 0 when every row was left alone.
-    pub max_boundary_delta: f64,
+    max_boundary_delta: f64,
 }
 
 /// One full cell-shifting pass over every x row and every y row (plus
 /// the z columns when a whole layer is overfull).
-pub fn shift_pass_stats(
+fn shift_pass_stats(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
@@ -584,16 +584,6 @@ pub fn spread(
         }
     }
     (max_iterations, false)
-}
-
-/// Benchmark-only entry points (`crates/bench/benches/kernels.rs`); not
-/// a public API.
-#[doc(hidden)]
-pub mod bench_hooks {
-    /// The Eq. 16 whole-row boundary solve on one row of densities.
-    pub fn row_scale_factors(densities: &[f64], target_density: f64) -> Option<Vec<f64>> {
-        super::row_scale_factors(densities, target_density)
-    }
 }
 
 #[cfg(test)]

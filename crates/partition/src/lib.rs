@@ -57,22 +57,3 @@ pub use multilevel::{
 pub type StopFn = dyn Fn() -> bool + Sync;
 
 pub(crate) use fm::refine;
-
-/// Benchmark-only hooks into the internal kernels. Hidden from docs and
-/// semver-exempt: the criterion suite needs to time one FM refinement in
-/// isolation (no coarsening, no restarts) without making the kernel API
-/// public.
-#[doc(hidden)]
-pub mod bench_hooks {
-    use crate::fm::FmWorkspace;
-    use crate::multilevel::FixedSide;
-    use crate::{BisectConfig, Hypergraph};
-
-    /// Runs FM refinement on `sides` in place (up to `config.max_passes`
-    /// passes) and returns the cut improvement. `hg` must be finalized.
-    pub fn fm_refine(hg: &Hypergraph, sides: &mut [u8], config: &BisectConfig) -> f64 {
-        let fixed = vec![FixedSide::Free; hg.num_vertices()];
-        let mut ws = FmWorkspace::default();
-        crate::fm::refine(hg, sides, &fixed, config, &mut ws, None)
-    }
-}

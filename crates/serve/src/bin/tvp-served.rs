@@ -8,38 +8,8 @@
 //! Runs until `POST /shutdown` or SIGTERM/SIGINT, then drains
 //! gracefully (checkpoint-and-park after the drain budget). The bound
 //! address is written to `<state-dir>/addr` so clients can discover a
-//! daemon started with `--listen 127.0.0.1:0`.
-
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
-use tvp_serve::{Server, ServerConfig};
-
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-extern "C" fn on_signal(_signum: i32) {
-    SIGNALLED.store(true, Ordering::SeqCst);
-}
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    // Raw libc `signal(2)`: std exposes no handler registration and the
-    // build is dependency-free. Storing a flag is all the handler does,
-    // which keeps it trivially async-signal-safe.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal as *const () as usize);
-        signal(SIGTERM, on_signal as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
+//! daemon started with `--listen 127.0.0.1:0`. `tvp serve` runs the same
+//! host ([`tvp_serve::host`]).
 
 const USAGE: &str = "\
 tvp-served: fault-tolerant placement daemon
@@ -53,83 +23,27 @@ OPTIONS:
     --workers N            Concurrent job executions (default 2)
     --max-queue N          Admission-control queue bound (default 8)
     --thread-budget N      Threads shared across jobs, 0 = hardware (default 0)
-    --max-attempts N       Default retry cap per job (default 3)
+    --max-attempts N       Default retry cap per job, at least 1 (default 3)
     --retry-base-ms N      Backoff base delay in ms (default 500)
     --drain-secs N         Graceful-shutdown drain budget (default 5)
     --help                 Show this help
 ";
 
-fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
-    let mut config = ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--listen" => config.listen = value("--listen")?,
-            "--state-dir" => config.state_dir = PathBuf::from(value("--state-dir")?),
-            "--workers" => {
-                config.workers = parse_num(&value("--workers")?, "--workers")?;
-            }
-            "--max-queue" => {
-                config.max_queue = parse_num(&value("--max-queue")?, "--max-queue")?;
-            }
-            "--thread-budget" => {
-                config.thread_budget = parse_num(&value("--thread-budget")?, "--thread-budget")?;
-            }
-            "--max-attempts" => {
-                config.default_max_attempts =
-                    parse_num::<u32>(&value("--max-attempts")?, "--max-attempts")?.max(1);
-            }
-            "--retry-base-ms" => {
-                config.retry_base = Duration::from_millis(parse_num(
-                    &value("--retry-base-ms")?,
-                    "--retry-base-ms",
-                )?);
-            }
-            "--drain-secs" => {
-                config.drain_budget =
-                    Duration::from_secs(parse_num(&value("--drain-secs")?, "--drain-secs")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
-        }
-    }
-    Ok(config)
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
-    text.parse::<T>()
-        .map_err(|_| format!("{flag}: `{text}` is not a valid number"))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_args(&args) {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{USAGE}");
+        return;
+    }
+    let config = match tvp_serve::host::parse_flags(&args) {
         Ok(config) => config,
         Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(if message == USAGE { 0 } else { 2 });
+            eprintln!("{message}\n\n{USAGE}");
+            std::process::exit(2);
         }
     };
-
-    install_signal_handlers();
-    let mut server = match Server::start(config) {
-        Ok(server) => server,
-        Err(message) => {
-            eprintln!("tvp-served: {message}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!("[tvp-serve] listening on http://{}", server.addr());
-
-    while !server.shutdown_requested() && !SIGNALLED.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(100));
+    if let Err(message) = tvp_serve::host::run(config) {
+        eprintln!("tvp-served: {message}");
+        std::process::exit(1);
     }
-    eprintln!("[tvp-serve] shutting down (draining)...");
-    server.shutdown();
-    eprintln!("[tvp-serve] bye");
 }

@@ -25,10 +25,11 @@
 //!   thread leases from one [`tvp_parallel::ThreadBudget`] instead of
 //!   fighting over the global pool.
 //!
-//! The library is used by the `tvp-served` binary (and `tvp serve`,
-//! which execs it in-process) and driven directly by the integration
-//! tests.
+//! The `tvp-served` binary and `tvp serve` both run the daemon through
+//! [`host`], which parses the flags, handles SIGINT/SIGTERM and drains
+//! on the way out. The integration tests drive [`Server`] directly.
 
+pub mod host;
 pub mod http;
 pub mod job;
 pub mod metrics;

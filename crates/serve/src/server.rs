@@ -23,7 +23,7 @@ use tvp_core::{CancelToken, PlaceOptions, PlacementResult, Placer, PlacerConfig}
 
 /// Everything that shapes a daemon instance. `Default` gives sensible
 /// production values; tests shrink the queue/backoff knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7433` (`:0` picks a free port).
     pub listen: String,
